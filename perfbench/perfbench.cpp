@@ -10,7 +10,7 @@
 ///
 /// Usage: fisone_perfbench --workload NAME --seed N --seconds S --trace 0|1
 ///                         --work-dir DIR
-/// NAME is cold_fleet, warm_resident or ingest_mixed (see workloads.hpp).
+/// NAME is cold_fleet or ingest_mixed (see workloads.hpp).
 
 #include <cstdio>
 #include <malloc.h>
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
         cfg.trace = args.get_int("trace", 0) != 0;
         cfg.work_dir = args.get("work-dir", "");
         if (!known_workload(cfg.workload))
-            throw std::invalid_argument("--workload must be cold_fleet, warm_resident or "
-                                        "ingest_mixed (got '" + cfg.workload + "')");
+            throw std::invalid_argument("--workload must be cold_fleet or ingest_mixed (got '" +
+                                        cfg.workload + "')");
         if (cfg.seconds <= 0.0) throw std::invalid_argument("--seconds must be > 0");
         if (cfg.work_dir.empty()) throw std::invalid_argument("--work-dir is required");
 
