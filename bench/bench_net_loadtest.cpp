@@ -6,10 +6,11 @@
 /// remap is on the hot path), per-request wall latency is recorded
 /// client-side, and at the end the merged input-order NDJSON re-export is
 /// compared **byte for byte** against an in-process loopback run of the
-/// same corpus. Then an overload phase pauses the backing service, blasts
-/// more requests than the admission bound, and checks the shed contract:
-/// every submitted request is answered — a result or a typed
-/// `error_response{overloaded}` — with nothing hung and nothing dropped.
+/// same corpus on a single `api::server`. Then an overload phase pauses the
+/// fleet behind the front door, blasts more requests than the admission
+/// bound, and checks the shed contract: every submitted request is
+/// answered — a result or a typed `error_response{overloaded}` — with
+/// nothing hung and nothing dropped.
 ///
 /// Run:  ./bench_net_loadtest [--quick] [--json] [--out BENCH_net.json]
 ///                            [--buildings N] [--samples-per-floor M]
@@ -21,7 +22,7 @@
 ///  --connect  drive an external `serve_tcp` (same profile + seed!)
 ///             instead of an in-process server; the parity check then
 ///             spans two processes. The overload phase needs to pause the
-///             backing service, so it only runs in-process.
+///             fleet, so it only runs in-process.
 ///
 /// Exits non-zero on NDJSON divergence or an unaccounted overload request.
 
@@ -43,6 +44,7 @@
 #include "bench_common.hpp"
 #include "api/client.hpp"
 #include "api/server.hpp"
+#include "federation/federated_server.hpp"
 #include "net/socket.hpp"
 #include "net/tcp_server.hpp"
 #include "obs/trace.hpp"
@@ -200,22 +202,23 @@ struct overload_result {
     }
 };
 
-/// Pause the backing service, submit far more than the admission bound,
-/// and verify every request is answered: a building result or a typed
-/// `overloaded` shed — no hangs, no silent drops.
+/// Pause the fleet, submit far more than the admission bound, and verify
+/// every request is answered: a building result or a typed `overloaded`
+/// shed — no hangs, no silent drops.
 overload_result run_overload(const data::corpus& fleet, std::uint64_t seed) {
     constexpr std::size_t k_bound = 2;
     constexpr std::size_t k_conns = 2;
     constexpr std::size_t k_per_conn = 8;
 
-    api::server_config scfg;
-    scfg.service = service::quick_profile(seed, 1);
-    api::server srv(scfg);
-    srv.backing_service().pause();
+    federation::federation_config fcfg;
+    fcfg.service = service::quick_profile(seed, 1);
+    fcfg.num_backends = 1;
+    federation::federated_server srv(fcfg);
+    srv.pause();
 
     net::tcp_server_config ncfg;
     ncfg.max_inflight_requests = k_bound;
-    net::tcp_server front(net::make_backend(srv), ncfg);
+    net::tcp_server front(srv, ncfg);
     std::thread loop([&front] { front.run(); });
 
     overload_result out;
@@ -257,7 +260,7 @@ overload_result run_overload(const data::corpus& fleet, std::uint64_t seed) {
     // admitted requests complete, the readers see EOF after their last
     // response, and the clients join.
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    srv.backing_service().resume();
+    srv.resume();
     for (std::thread& t : clients) t.join();
     front.drain();
     loop.join();
@@ -294,17 +297,17 @@ int main(int argc, char** argv) try {
     const auto [loop_s, loop_ndjson] = run_loopback(fleet, seed, threads);
 
     // The system under test: an external serve_tcp, or an in-process
-    // front door over an identical server.
+    // front door over a fleet shaped like serve_tcp's default (2 backends).
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;
-    std::unique_ptr<api::server> srv;
+    std::unique_ptr<federation::federated_server> srv;
     std::unique_ptr<net::tcp_server> front;
     std::thread loop_thread;
     if (connect.empty()) {
-        api::server_config cfg;
+        federation::federation_config cfg;
         cfg.service = service::quick_profile(seed, threads);
-        srv = std::make_unique<api::server>(cfg);
-        front = std::make_unique<net::tcp_server>(net::make_backend(*srv));
+        srv = std::make_unique<federation::federated_server>(cfg);
+        front = std::make_unique<net::tcp_server>(*srv);
         port = front->port();
         loop_thread = std::thread([&front] { front->run(); });
     } else {

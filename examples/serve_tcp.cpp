@@ -1,16 +1,19 @@
 /// \file serve_tcp.cpp
 /// The network front door, running: bind a `net::tcp_server` on a real
-/// socket, front either a single `api::server` or a federated fleet, and
-/// serve FIS1 frames to any number of concurrent connections until a
-/// SIGTERM/SIGINT triggers a graceful drain (stop accepting, finish
-/// in-flight jobs, flush, exit 0).
+/// socket in front of a federated fleet, and serve FIS1 frames to any
+/// number of concurrent connections until a SIGTERM/SIGINT triggers a
+/// graceful drain (stop accepting, finish in-flight jobs, flush, exit 0).
+/// The fleet always runs its protected dispatch path (retry, failover,
+/// circuit breakers), and serves `identify_shard` only for files inside
+/// the stores mounted with --stores.
 ///
 /// While it runs, the same port answers plaintext probes:
 ///
 ///     curl http://127.0.0.1:PORT/metrics
 ///
 /// returns the Prometheus text-format page (transport counters, admission
-/// and shed totals, request latency quantiles, service + cache stats).
+/// and shed totals, request latency quantiles, fleet health, service +
+/// cache stats).
 ///
 /// Run:  ./serve_tcp [--host A] [--port P] [--port-file PATH]
 ///                   [--stores DIR,DIR,...] [--backends N]
@@ -22,11 +25,11 @@
 ///
 ///  --port 0       (default) binds a kernel-assigned port; pair with
 ///                 --port-file so a driving script can discover it.
-///  --stores       mount on-disk corpus stores behind a federated fleet
-///                 of --backends services; without it (and without
-///                 --backends/--fault-plan/--request-timeout-ms), a
-///                 single `api::server` serves wire-supplied buildings
-///                 only.
+///  --stores       mount on-disk corpus stores (appends, watches,
+///                 resident lookups and shard requests need them);
+///                 without it the fleet serves wire-supplied buildings.
+///  --backends     fleet size (default 2); each backend runs --threads
+///                 workers.
 ///  --profile      pins the pipeline profile (`service::profiles`), so a
 ///                 client process using the same profile + seed gets
 ///                 byte-identical results to an in-process run.
@@ -35,18 +38,16 @@
 ///                 answered within N ms is cancelled on its backend and
 ///                 retried elsewhere; exhausted retries answer a typed
 ///                 `deadline_exceeded` error. 0 (default) disables
-///                 deadlines. Fleet mode only; arms fault tolerance.
-///  --cache-dir    persist the result cache(s) under DIR (crash-safe
+///                 deadlines.
+///  --cache-dir    persist the result caches under DIR (crash-safe
 ///                 write-then-rename spill). On start each backend warm
 ///                 loads only its own cache-affinity shard, so a
 ///                 restarted fleet resumes with warm caches.
 ///  --fault-plan   deterministic fault injection, e.g.
 ///                 `0:fail_every=3;1:hang_ms=200` (keys: fail_every,
 ///                 fail_first, hang_ms, crash_on_submit, slow_read_ms,
-///                 crash_on_append). Fleet mode only; arms fault
-///                 tolerance (retry/failover + circuit breakers).
-///                 crash_on_append=1 aborts the process after an
-///                 appended delta shard is durable but before the
+///                 crash_on_append). crash_on_append=1 aborts the process
+///                 after an appended delta shard is durable but before the
 ///                 manifest tmp is written; =2 aborts after the tmp is
 ///                 written but before the rename — both for drilling
 ///                 the warm-restart torn-manifest guarantee.
@@ -74,12 +75,10 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "api/server.hpp"
 #include "federation/federated_server.hpp"
 #include "net/tcp_server.hpp"
 #include "obs/trace.hpp"
@@ -114,10 +113,13 @@ void print_usage() {
         "                 [--slow-ms N] [--telemetry-window-ms N]\n"
         "                 [--quiet] [--help]\n"
         "\n"
+        "  --stores DIR,...         mount corpus stores (appends, watches,\n"
+        "                           resident lookups, shard requests).\n"
+        "  --backends N             fleet size (default 2).\n"
         "  --request-timeout-ms N   per-request deadline; late attempts are\n"
         "                           cancelled and retried on another backend,\n"
         "                           exhausted retries answer deadline_exceeded.\n"
-        "                           0 disables (default). Fleet mode only.\n"
+        "                           0 disables (default).\n"
         "  --cache-dir DIR          crash-safe persistent result-cache spill;\n"
         "                           each backend warm-loads its own affinity\n"
         "                           shard on restart.\n"
@@ -125,13 +127,12 @@ void print_usage() {
         "                           0:fail_every=3;1:hang_ms=200 (keys:\n"
         "                           fail_every, fail_first, hang_ms,\n"
         "                           crash_on_submit, slow_read_ms,\n"
-        "                           crash_on_append). Fleet mode only;\n"
-        "                           arms retry/failover.\n"
+        "                           crash_on_append).\n"
         "\n"
-        "Fleet mode runs when --stores, --backends, --fault-plan, or\n"
-        "--request-timeout-ms is given; otherwise a single api::server\n"
-        "serves wire-supplied buildings. SIGTERM/SIGINT drains gracefully;\n"
-        "curl http://host:port/metrics scrapes Prometheus text format.\n";
+        "A federated fleet serves every request through its protected\n"
+        "dispatch path (retry/failover, circuit breakers). SIGTERM/SIGINT\n"
+        "drains gracefully; curl http://host:port/metrics scrapes\n"
+        "Prometheus text format.\n";
 }
 
 }  // namespace
@@ -178,35 +179,15 @@ int main(int argc, char** argv) try {
     const service::service_config svc_cfg =
         service::profile_by_name(profile, seed, threads);
 
-    // Fault tolerance needs peers to fail over to, so any fault-plan or
-    // deadline flag (and an explicit --backends) selects fleet mode even
-    // without on-disk stores.
-    const bool fleet_mode = !stores.empty() || args.has("backends") ||
-                            !fault_plan.empty() || request_timeout_ms > 0;
-
-    // The backend must outlive the tcp_server, so both live here.
-    std::unique_ptr<api::server> single;
-    std::unique_ptr<federation::federated_server> fleet;
-    net::backend be;
-    if (!fleet_mode) {
-        api::server_config cfg;
-        cfg.service = svc_cfg;
-        if (!cache_dir.empty()) cfg.cache_spill = api::cache_spill_config{cache_dir, 1, 0};
-        single = std::make_unique<api::server>(cfg);
-        be = net::make_backend(*single);
-    } else {
-        federation::federation_config cfg;
-        cfg.service = svc_cfg;
-        cfg.num_backends = backends;
-        cfg.store_dirs = stores;
-        cfg.cache_dir = cache_dir;
-        if (request_timeout_ms > 0)
-            cfg.fault_tolerance.request_timeout = std::chrono::milliseconds(request_timeout_ms);
-        if (!fault_plan.empty())
-            cfg.fault_plans = service::parse_fault_plans(fault_plan, backends);
-        fleet = std::make_unique<federation::federated_server>(cfg);
-        be = net::make_backend(*fleet);
-    }
+    // The fleet must outlive the tcp_server, so both live here.
+    federation::federation_config cfg;
+    cfg.service = svc_cfg;
+    cfg.num_backends = backends;
+    cfg.store_dirs = stores;
+    cfg.cache_dir = cache_dir;
+    cfg.fault_tolerance.request_timeout = std::chrono::milliseconds(request_timeout_ms);
+    if (!fault_plan.empty()) cfg.fault_plans = service::parse_fault_plans(fault_plan, backends);
+    federation::federated_server fleet(cfg);
 
     net::tcp_server_config net_cfg;
     net_cfg.host = host;
@@ -216,7 +197,7 @@ int main(int argc, char** argv) try {
     net_cfg.slow_request_seconds = slow_ms > 0 ? static_cast<double>(slow_ms) / 1000.0 : 0.0;
     net_cfg.telemetry_window_ms =
         telemetry_window_ms > 0 ? static_cast<std::uint32_t>(telemetry_window_ms) : 0;
-    net::tcp_server srv(std::move(be), net_cfg);
+    net::tcp_server srv(fleet, net_cfg);
 
     if (!port_file.empty()) {
         // Write-then-rename so a polling script never reads a torn file.
@@ -231,8 +212,7 @@ int main(int argc, char** argv) try {
     }
     if (!quiet)
         std::cerr << "serve_tcp: listening on " << host << ':' << srv.port() << " ("
-                  << (!fleet_mode ? "single server"
-                                  : std::to_string(backends) + "-backend fleet")
+                  << backends << "-backend fleet"
                   << ", profile " << profile << ", seed " << seed << ", "
                   << max_inflight << " in-flight max"
                   << (cache_dir.empty() ? "" : ", cache spill " + cache_dir)

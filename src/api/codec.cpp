@@ -113,13 +113,16 @@ public:
         return static_cast<std::size_t>(n);
     }
 
-    std::string str() {
+    /// A length-prefixed string, as a view into the input bytes.
+    std::string_view str_view() {
         const std::size_t n = count(1);
         if (failed_) return {};
-        std::string s(p_, n);
+        const std::string_view s(p_, n);
         p_ += n;
         return s;
     }
+
+    std::string str() { return std::string(str_view()); }
 
     std::vector<int> vec_i32() {
         const std::size_t n = count(4);
@@ -721,6 +724,25 @@ decode_result<response> decode_response(std::string_view bytes, std::size_t* con
     return decode_frame<response>(bytes, consumed, [](std::uint16_t tag, wire_reader& r) {
         return parse_response(tag, r);
     });
+}
+
+std::optional<report_status> peek_report_status(std::string_view frame) noexcept {
+    if (frame.size() < k_frame_header_size ||
+        std::memcmp(frame.data(), k_frame_magic, sizeof k_frame_magic) != 0)
+        return std::nullopt;
+    if (frame_u16(frame, k_off_tag) != static_cast<std::uint16_t>(message_tag::building_result))
+        return std::nullopt;
+    // The payload prefix `put_report` lays down: correlation id, index,
+    // name, ok, error.
+    wire_reader r(frame.substr(k_frame_header_size));
+    static_cast<void>(r.u64());
+    static_cast<void>(r.u64());
+    static_cast<void>(r.str_view());
+    report_status s;
+    s.ok = r.boolean();
+    s.error = r.str_view();
+    if (r.failed()) return std::nullopt;
+    return s;
 }
 
 void frame_splitter::append(std::string_view bytes) {

@@ -48,6 +48,31 @@ inline constexpr std::size_t k_frame_header_size = 14;
 /// hostile length from looking like a plausible allocation.
 inline constexpr std::size_t k_max_payload = 64u << 20;
 
+/// Frame layout for multiplexers that route response frames without
+/// decoding them: the tag sits at byte 8, every payload opens with its
+/// correlation id, and a `cancel_result`'s target id follows it. Callers
+/// check that the frame is long enough.
+inline constexpr std::size_t k_off_tag = 8;
+inline constexpr std::size_t k_off_corr = k_frame_header_size;
+inline constexpr std::size_t k_off_cancel_target = k_off_corr + 8;
+
+/// Little-endian scalar reads and an in-place u64 patch at \p off.
+[[nodiscard]] inline std::uint16_t frame_u16(std::string_view f, std::size_t off) noexcept {
+    return static_cast<std::uint16_t>(static_cast<unsigned char>(f[off]) |
+                                      (static_cast<unsigned char>(f[off + 1]) << 8));
+}
+
+[[nodiscard]] inline std::uint64_t frame_u64(std::string_view f, std::size_t off) noexcept {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(f[off + i])) << (8 * i);
+    return v;
+}
+
+inline void patch_frame_u64(std::string& f, std::size_t off, std::uint64_t v) noexcept {
+    for (std::size_t i = 0; i < 8; ++i) f[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
 /// Encode one message as a complete frame (header + payload).
 /// \throws std::length_error when the payload exceeds `k_max_payload` —
 ///         the protocol cannot carry such a frame, and silently emitting
@@ -88,6 +113,18 @@ struct decode_result {
                                                     std::size_t* consumed = nullptr);
 [[nodiscard]] decode_result<response> decode_response(std::string_view bytes,
                                                       std::size_t* consumed = nullptr);
+
+/// The status of the report in a `building_result` frame, read without
+/// decoding the rest of it (the embeddings matrix is most of a report's
+/// bytes). `error` views into the frame.
+struct report_status {
+    bool ok = false;
+    std::string_view error;
+};
+
+/// \p frame's report status; nullopt when \p frame is not a
+/// `building_result` frame long enough to hold one.
+[[nodiscard]] std::optional<report_status> peek_report_status(std::string_view frame) noexcept;
 
 /// Assemble a raw frame around an arbitrary payload — the adversarial
 /// tests' tool for crafting wrong-version / unknown-tag / short frames.

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file fault_tolerance.hpp
-/// `federation::fleet_health` — the shared fault-tolerance brain of a
-/// federated fleet: one circuit breaker per backend, the fleet-wide
-/// retry/failover counters `/metrics` exports, and a single watchdog
-/// thread that runs every deferred action (retry backoffs, per-request
-/// deadline timers). Centralising the deferred work on one thread is a
+/// `federation::fleet_health` — the shared fault-tolerance brain of every
+/// federated fleet (its dispatch path is always protected): one circuit
+/// breaker per backend, the fleet-wide retry/failover counters `/metrics`
+/// exports, and a single watchdog thread that runs every deferred action
+/// (retry backoffs, per-request deadline timers). Centralising the deferred work on one thread is a
 /// correctness rule, not an optimisation: `floor_service` report
 /// callbacks must never block or submit jobs, so resubmission can never
 /// happen inline from a completion sink — it is always *scheduled* here
@@ -37,12 +37,8 @@
 
 namespace fisone::federation {
 
-/// Retry / deadline / breaker tuning. Protection engages when `enabled`
-/// is set (or the owning server turns it on implicitly — see
-/// `federation_config`); the other fields only matter then.
+/// Retry / deadline / breaker tuning of a fleet's dispatch path.
 struct fault_tolerance_config {
-    /// Master switch for the protected dispatch path.
-    bool enabled = false;
     /// Per-request deadline, enforced per attempt: an attempt that has
     /// not answered in time is cancelled, circuit-broken against, and
     /// failed over. 0 = no deadline (failures still retry).

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <istream>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <type_traits>
@@ -20,30 +21,6 @@
 namespace fisone::federation {
 
 namespace {
-
-/// Frame-peek helpers, mirroring `net::tcp_server`'s wire layout: tag at
-/// byte 8, correlation id at the payload start (byte 14), a cancel
-/// response's target id right after it (byte 22). All little-endian.
-constexpr std::size_t k_off_tag = 8;
-constexpr std::size_t k_off_corr = api::k_frame_header_size;  // 14
-constexpr std::size_t k_off_cancel_target = k_off_corr + 8;   // 22
-
-std::uint16_t rd_u16(std::string_view b, std::size_t off) {
-    return static_cast<std::uint16_t>(static_cast<unsigned char>(b[off]) |
-                                      (static_cast<unsigned char>(b[off + 1]) << 8));
-}
-
-std::uint64_t rd_u64(std::string_view b, std::size_t off) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[off + i])) << (8 * i);
-    return v;
-}
-
-void patch_u64(std::string& b, std::size_t off, std::uint64_t v) {
-    for (std::size_t i = 0; i < 8; ++i)
-        b[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
 
 /// Stable affinity identity of a shard request: a canonical hash of its
 /// path, so resubmitting the same shard lands on the same backend.
@@ -137,71 +114,93 @@ struct federated_server::routing {
     }
 };
 
-/// Name → global-corpus-index directory over the mounted stores, plus an
-/// in-memory cache of the buildings `identify_resident` has actually been
-/// asked for (resident mode pins served buildings in memory — that is its
-/// point: neither the wire nor the disk should gate the pipeline). The
-/// directory is fingerprinted on the stores' manifest versions and rebuilt
-/// lazily whenever an append moves one forward, so post-append names (new
-/// buildings included) resolve without a restart.
+/// Name → (global corpus index, building) over the mounted stores. The
+/// names are indexed on the first `identify_resident`; a building's bits
+/// load from its store on its first request and then stay pinned in memory
+/// (resident mode's point: neither the wire nor the disk should gate the
+/// pipeline). Appends keep it current: each dirty building's post-append
+/// bits are staged when the ingest manager submits its re-run and committed
+/// when the re-run answers, before its push goes out — so a read that
+/// follows the push resolves to the post-append bits, and a read during the
+/// re-run still hits the cached pre-append answer instead of running the
+/// pipeline a second time. Clean buildings never change, so the mount-time
+/// view serves them.
 struct federated_server::resident_directory {
     struct entry {
-        std::size_t store = 0;         ///< which mounted store holds the name
+        std::size_t store = 0;         ///< mounted store holding the name (base buildings)
         std::size_t global_index = 0;  ///< its global corpus index
+        /// Its bits: null until first requested; set by `commit` (which may
+        /// add a name no store held at mount — its `store` is then unused).
+        std::shared_ptr<const data::building> b;
+        /// The re-run that committed `b` (0 = mount-time bits). The ingest
+        /// manager numbers re-runs in append order, so a late answer from
+        /// an older append never overwrites a newer one.
+        std::uint64_t rerun = 0;
     };
 
     std::mutex m;
-    std::string fingerprint;  ///< store count + manifest versions at last build
-    bool built = false;
+    bool indexed = false;
     std::unordered_map<std::string, entry> index;
-    std::unordered_map<std::string, std::shared_ptr<const data::building>> cache;
+    /// Re-run correlation id → the post-append entry it will commit.
+    std::unordered_map<std::uint64_t, std::pair<std::string, entry>> staged;
 
-    static std::string current_fingerprint(const store_registry& reg) {
-        std::string fp = std::to_string(reg.num_stores());
-        for (std::size_t s = 0; s < reg.num_stores(); ++s)
-            fp += ":" + std::to_string(reg.store(s).manifest().version);
-        return fp;
+    /// The append re-run \p corr re-identifies \p b at \p global_index.
+    void stage(std::uint64_t corr, std::size_t global_index, const data::building& b) {
+        auto bits = std::make_shared<const data::building>(b);
+        const std::lock_guard<std::mutex> lock(m);
+        staged[corr] = {b.name, entry{0, global_index, std::move(bits), corr}};
+    }
+
+    /// Re-run \p corr answered (a result or a typed error): its name now
+    /// resolves to the staged bits. Unknown ids are ignored.
+    void commit(std::uint64_t corr) {
+        const std::lock_guard<std::mutex> lock(m);
+        const auto it = staged.find(corr);
+        if (it == staged.end()) return;
+        entry& e = index[it->second.first];
+        if (e.rerun < corr) {
+            e.global_index = it->second.second.global_index;
+            e.b = std::move(it->second.second.b);
+            e.rerun = corr;
+        }
+        staged.erase(it);
     }
 
     /// Resolve \p name to (global index, building), loading the building
     /// from its store on the first request. Serialised under the directory
     /// lock — a store scan stalls concurrent resolutions, but only the
-    /// first request of each name (per store version) ever scans.
+    /// first request of each name ever scans.
     struct hit {
         std::size_t global_index = 0;
         std::shared_ptr<const data::building> b;
     };
     std::optional<hit> resolve(const store_registry& reg, const std::string& name) {
         const std::lock_guard<std::mutex> lock(m);
-        const std::string fp = current_fingerprint(reg);
-        if (!built || fp != fingerprint) {
-            index.clear();
-            cache.clear();  // an append may have changed any building's scans
+        if (!indexed) {
+            // try_emplace: a name an append already committed keeps its
+            // post-append entry.
             for (std::size_t s = 0; s < reg.num_stores(); ++s) {
                 const std::size_t offset = reg.store_offset(s);
                 reg.store(s).for_each_building_effective(
                     [&](std::size_t local, data::building&& b) {
-                        index[b.name] = entry{s, offset + local};
+                        index.try_emplace(b.name, entry{s, offset + local, nullptr, 0});
                     });
             }
-            fingerprint = fp;
-            built = true;
+            indexed = true;
         }
         const auto it = index.find(name);
         if (it == index.end()) return std::nullopt;
-        auto cached = cache.find(name);
-        if (cached == cache.end()) {
+        entry& e = it->second;
+        if (!e.b) {
             obs::scoped_span span("federation.resident_load");
-            const std::size_t local = it->second.global_index - reg.store_offset(it->second.store);
-            std::shared_ptr<const data::building> loaded;
-            reg.store(it->second.store)
-                .for_each_building_effective([&](std::size_t i, data::building&& b) {
-                    if (i == local) loaded = std::make_shared<const data::building>(std::move(b));
+            const std::size_t local = e.global_index - reg.store_offset(e.store);
+            reg.store(e.store).for_each_building_effective(
+                [&](std::size_t i, data::building&& b) {
+                    if (i == local) e.b = std::make_shared<const data::building>(std::move(b));
                 });
-            if (!loaded) return std::nullopt;  // store mutated underneath us
-            cached = cache.emplace(name, std::move(loaded)).first;
+            if (!e.b) return std::nullopt;
         }
-        return hit{it->second.global_index, cached->second};
+        return hit{e.global_index, e.b};
     }
 };
 
@@ -209,22 +208,23 @@ struct federated_server::resident_directory {
 // hold it without GCC's -Wsubobject-linkage firing.
 namespace detail {
 
-/// High bit of a correlation id: set on every id the protected dispatch
-/// path mints (attempt ids, swallow-cancel ids), never on a client id the
-/// front door forwards (`net::tcp_server` remaps client ids to small
-/// internal ones). The bit is what lets the emitter tell backend frames it
-/// must intercept from frames it streams through verbatim.
+/// High bit of a correlation id: set on every id the dispatch path mints
+/// (attempt ids, swallow-cancel ids) and refused on client requests. The
+/// bit is what lets the response channel tell backend frames it must
+/// intercept from frames it streams through verbatim.
 inline constexpr std::uint64_t k_attempt_bit = std::uint64_t{1} << 63;
 
-/// One in-flight protected building request. Lives in the tracker map
-/// from submission until its final answer (success, genuine failure, or
-/// typed error) — a scheduled-but-not-yet-dispatched retry re-keys the
-/// entry under a fresh attempt id, so the map is never empty while the
-/// client still awaits a response (the drain barrier waits on exactly
-/// that).
+/// One in-flight building request. Lives in the tracker map from
+/// submission until its final answer (success, genuine failure, or typed
+/// error) — a scheduled-but-not-yet-dispatched retry re-keys the entry
+/// under a fresh attempt id, so the map is never empty while the client
+/// still awaits a response (the drain barrier waits on exactly that).
 struct attempt {
     std::uint64_t client_corr = 0;
-    api::identify_building_request req;  ///< pinned (has_index = true)
+    /// The pinned request (has_index = true) under the FIRST attempt's id,
+    /// shared so the first dispatch forwards it without a copy; a retry
+    /// forwards a copy under its own id.
+    std::shared_ptr<const api::request> req;
     std::uint64_t affinity = 0;
     std::size_t backend = 0;      ///< backend of the current dispatch
     std::size_t last_failed = 0;  ///< backend the previous try failed on
@@ -237,15 +237,15 @@ struct attempt {
     obs::trace_context trace{};   ///< submitter's trace position (for retry spans)
 };
 
-/// Protected-mode bookkeeping of one session. Pure data + locks — shared
-/// by the session state and its emitter, so interception keeps working on
-/// frames that arrive after the session handle was dropped.
+/// Attempt bookkeeping of one session. Pure data + locks — owned by the
+/// session's emitter, so interception keeps working on frames that arrive
+/// after the session handle was dropped.
 struct attempt_tracker {
     std::mutex m;
     std::condition_variable cv;  ///< notified whenever an attempt resolves
     std::unordered_map<std::uint64_t, attempt> attempts;  ///< by attempt id
     /// Client correlation id → current attempt id (the `cancel_job`
-    /// namespace under protection). Resubmitting under an id re-points it.
+    /// namespace of buildings). Resubmitting under an id re-points it.
     std::unordered_map<std::uint64_t, std::uint64_t> attempt_by_client;
     /// Forwarded client cancels had their target translated to an attempt
     /// id; this maps the cancel's own correlation id back to the client's
@@ -275,17 +275,11 @@ struct emitter {
     federated_server::frame_sink sink;
     std::mutex m;  ///< serialises sink calls across every backend's workers
     bool broken = false;
-    /// Protected mode: inspects each backend frame first; true = consumed
-    /// (handled, rewritten-and-delivered, or dropped as stale). Owned by
-    /// this emitter; captures it by raw pointer (same lifetime) and the
-    /// session state only weakly (no cycle).
-    std::function<bool(std::string_view)> intercept;
-
-    /// Route one backend frame: interception first, else verbatim.
-    void frame(std::string_view f) {
-        if (intercept && intercept(f)) return;
-        deliver(f);
-    }
+    std::string patched;  ///< reused buffer for id-patched frames (guarded by m)
+    attempt_tracker tracker;
+    /// Shared with the server: frames that arrive after the session handle
+    /// died still feed the breakers.
+    std::shared_ptr<fleet_health> health;
 
     /// Hand one frame to the sink. A sink that throws marks the transport
     /// broken; later frames are dropped silently.
@@ -299,6 +293,19 @@ struct emitter {
         }
     }
 
+    /// Deliver \p f with the u64 at \p off replaced by \p v.
+    void deliver_patched(std::string_view f, std::size_t off, std::uint64_t v) {
+        const std::lock_guard<std::mutex> lock(m);
+        if (broken) return;
+        try {
+            patched.assign(f);
+            api::patch_frame_u64(patched, off, v);
+            sink(patched);
+        } catch (...) {
+            broken = true;
+        }
+    }
+
     /// Encode and forward one front-end-authored response (never
     /// intercepted: these already carry the client's correlation id).
     void respond(const api::response& resp) { deliver(api::encode(resp)); }
@@ -307,18 +314,15 @@ struct emitter {
 }  // namespace detail
 
 /// Per-connection state: one backend session per backend (a correlation-id
-/// namespace spanning the fleet) plus the owner map `cancel_job` routes by.
+/// namespace spanning the fleet) plus the owner map shard cancels route by.
 struct federated_server::session::state {
+    /// The response channel, which also owns the attempt tracker and
+    /// shares the fleet's health.
     std::shared_ptr<detail::emitter> out;
     std::shared_ptr<federated_server::routing> routing;
     store_registry* registry = nullptr;
     std::vector<api::server*> backends;
     std::vector<api::server::session> backend_sessions;
-    /// Protection (both null when off). The tracker is shared with the
-    /// emitter; fleet_health is shared with the server (its watchdog must
-    /// outlive every scheduled retry).
-    std::shared_ptr<detail::attempt_tracker> tracker;
-    std::shared_ptr<fleet_health> health;
     /// Live ingestion: the append engine (null when the fleet has no
     /// stores — and always null on the manager's own internal session, or
     /// manager → session → manager would cycle) and the fleet-wide watch
@@ -328,30 +332,34 @@ struct federated_server::session::state {
     std::shared_ptr<federated_server::resident_directory> residents;
 
     std::mutex owners_m;
-    /// Which backend owns each submitted correlation id (the `cancel_job`
-    /// namespace). Resubmitting under an id re-points it, exactly as
-    /// `api::server` re-points its cancellable target. Cleared at `flush`
-    /// (everything is finished then, so cancels answer false either way).
-    /// Under protection, building requests route cancels through the
-    /// tracker instead; this map still owns shard requests.
+    /// Which backend owns each submitted shard's correlation id (the
+    /// `cancel_job` namespace of shards; buildings route cancels through
+    /// the attempt tracker). Resubmitting under an id re-points it, exactly
+    /// as `api::server` re-points its cancellable target. Cleared at
+    /// `flush` (everything is finished then, so cancels answer false
+    /// either way).
     std::unordered_map<std::uint64_t, std::size_t> owners;
 
-    /// Probe every backend's load (and, under protection, breaker state)
-    /// for the router.
+    [[nodiscard]] fleet_health& health() const { return *out->health; }
+    [[nodiscard]] detail::attempt_tracker& tracker() const { return out->tracker; }
+
+    /// Probe every backend's load and breaker state for the router.
     [[nodiscard]] std::vector<backend_probe> probe() const {
+        const std::vector<bool> broken = health().unavailable_mask();
         std::vector<backend_probe> probes(backends.size());
         for (std::size_t k = 0; k < backends.size(); ++k) {
             const service::floor_service& svc = backends[k]->backing_service();
-            probes[k] = backend_probe{svc.pending_jobs(), svc.paused()};
-        }
-        if (health) {
-            const std::vector<bool> mask = health->unavailable_mask();
-            for (std::size_t k = 0; k < probes.size(); ++k) probes[k].broken = mask[k];
+            probes[k] = backend_probe{svc.pending_jobs(), svc.paused(), broken[k]};
         }
         return probes;
     }
 
-    std::size_t pick(std::uint64_t affinity) { return routing->route(affinity, probe()); }
+    /// Route under the `federation.route` span.
+    [[nodiscard]] std::size_t route(std::uint64_t affinity,
+                                    const std::vector<backend_probe>& probes) const {
+        obs::scoped_span span("federation.route");
+        return routing->route(affinity, probes);
+    }
 
     void remember(std::uint64_t correlation_id, std::size_t backend_index) {
         const std::lock_guard<std::mutex> lock(owners_m);
@@ -360,37 +368,73 @@ struct federated_server::session::state {
 
     /// Drain barrier: the ingest manager idle (appends queued before the
     /// barrier durable, their dirty re-runs answered), every backend
-    /// finished, AND every protected attempt resolved. Ingest first — its
-    /// re-runs create the backend work the rest of the barrier waits on.
-    /// Loops because a scheduled retry may submit new backend work after a
-    /// round of finishes.
+    /// finished, AND every attempt resolved. Ingest first — its re-runs
+    /// create the backend work the rest of the barrier waits on. Loops
+    /// because a scheduled retry may submit new backend work after a round
+    /// of finishes.
     void drain() {
         if (ingest) ingest->wait_idle();
+        detail::attempt_tracker& tr = tracker();
         for (;;) {
             for (api::server::session& bs : backend_sessions) bs.finish();
-            if (!tracker) return;
-            std::unique_lock<std::mutex> lock(tracker->m);
-            if (tracker->attempts.empty()) return;
-            tracker->cv.wait_for(lock, std::chrono::milliseconds(20));
+            std::unique_lock<std::mutex> lock(tr.m);
+            if (tr.attempts.empty()) return;
+            tr.cv.wait_for(lock, std::chrono::milliseconds(20));
         }
     }
 };
 
-// --- protected dispatch -----------------------------------------------------
+// --- dispatch ---------------------------------------------------------------
 
-/// (Re)dispatch protected attempt \p attempt_id: route it (avoiding the
-/// backend it last failed on and every circuit-broken backend — though
-/// when nothing is available the natural choice still gets the work, so
-/// a single-backend fleet keeps retrying toward exhaustion rather than
+void federated_server::submit_building(const std::shared_ptr<session::state>& st,
+                                       api::identify_building_request&& req) {
+    obs::scoped_span span("federation.dispatch");
+    // Pin the index up front: the front-end is the one index-assignment
+    // authority (so the backend, and its cache key, sees the identity a
+    // single service would assign), and the identity must survive failover
+    // — every retry reruns the SAME task.
+    if (req.has_index)
+        st->routing->advance_index(static_cast<std::size_t>(req.corpus_index) + 1);
+    else
+        req.corpus_index = st->routing->allocate_index();
+    req.has_index = true;
+    // Affinity reads the building's content hash only when the policy
+    // routes on it (the hash walks every sample).
+    const std::uint64_t affinity =
+        st->routing->rt.policy() == routing_policy::content_hash_affinity
+            ? data::content_hash(req.b)
+            : 0;
+    detail::attempt_tracker& tr = st->tracker();
+    const std::uint64_t client = req.correlation_id;
+    std::uint64_t id = 0;
+    {
+        const std::lock_guard<std::mutex> lock(tr.m);
+        id = tr.mint();
+        req.correlation_id = id;
+        detail::attempt a;
+        a.client_corr = client;
+        a.req = std::make_shared<const api::request>(std::move(req));
+        a.affinity = affinity;
+        a.trace = obs::current_context();
+        tr.attempts.emplace(id, std::move(a));
+        tr.attempt_by_client[client] = id;
+    }
+    dispatch_attempt(st, id);
+}
+
+/// (Re)dispatch attempt \p attempt_id: route it (avoiding the backend it
+/// last failed on and every circuit-broken backend — though when nothing
+/// is available the natural choice still gets the work, so a
+/// single-backend fleet keeps retrying toward exhaustion rather than
 /// failing early), forward it under its attempt id, arm its deadline.
 /// Runs on the submitting thread for the first try and on the fleet_health
 /// watchdog for retries — never inside a completion callback.
 void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& st,
                                         std::uint64_t attempt_id) {
-    detail::attempt_tracker& tr = *st->tracker;
-    fleet_health& health = *st->health;
+    detail::attempt_tracker& tr = st->tracker();
+    fleet_health& health = st->health();
 
-    api::identify_building_request req;
+    std::shared_ptr<const api::request> req;
     std::uint64_t affinity = 0;
     std::size_t last_failed = 0;
     bool has_failed = false;
@@ -401,18 +445,19 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
         const auto it = tr.attempts.find(attempt_id);
         if (it == tr.attempts.end()) return;  // resolved while queued
         detail::attempt& a = it->second;
-        ++a.tries;
-        tries = a.tries;
+        tries = ++a.tries;
         req = a.req;
         affinity = a.affinity;
         last_failed = a.last_failed;
         has_failed = a.has_failed;
         trace = a.trace;
     }
+    // Retries run on the watchdog: keep their spans in the request's tree.
+    obs::context_guard trace_guard(trace);
 
     std::vector<backend_probe> probes = st->probe();
     if (has_failed && last_failed < probes.size()) probes[last_failed].broken = true;
-    const std::size_t k = st->routing->route(affinity, probes);
+    const std::size_t k = st->route(affinity, probes);
     if (tries > 1) {
         health.count_retry();
         const std::uint64_t now = obs::now_ns();
@@ -430,9 +475,14 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
         it->second.backend = k;
     }
 
-    req.correlation_id = attempt_id;
     try {
-        st->backend_sessions[k].handle(api::request{std::move(req)});
+        if (api::correlation_id(*req) == attempt_id) {
+            st->backend_sessions[k].handle(*req);
+        } else {
+            api::request retry = *req;
+            api::set_correlation_id(retry, attempt_id);
+            st->backend_sessions[k].handle(retry);
+        }
     } catch (const std::exception& e) {
         // Submit-time crash: no backend job exists, no response will come.
         health.on_failure(k);
@@ -456,8 +506,8 @@ void federated_server::dispatch_attempt(const std::shared_ptr<session::state>& s
 void federated_server::retry_or_fail(const std::shared_ptr<session::state>& st,
                                      std::uint64_t attempt_id, std::size_t failed_backend,
                                      api::error_code code, const std::string& message) {
-    detail::attempt_tracker& tr = *st->tracker;
-    fleet_health& health = *st->health;
+    detail::attempt_tracker& tr = st->tracker();
+    fleet_health& health = st->health();
 
     std::uint64_t client = 0;
     std::uint64_t new_id = 0;
@@ -514,7 +564,7 @@ void federated_server::retry_or_fail(const std::shared_ptr<session::state>& st,
 /// stale-dropped instead of reaching the client as a cancelled result.
 void federated_server::expire_attempt(const std::shared_ptr<session::state>& st,
                                       std::uint64_t attempt_id) {
-    detail::attempt_tracker& tr = *st->tracker;
+    detail::attempt_tracker& tr = st->tracker();
     std::size_t backend = 0;
     std::uint64_t swallow = 0;
     {
@@ -525,73 +575,120 @@ void federated_server::expire_attempt(const std::shared_ptr<session::state>& st,
         backend = it->second.backend;
         swallow = tr.mint();  // never registered: its cancel ack is dropped
     }
-    st->health->on_failure(backend);
+    st->health().on_failure(backend);
     retry_or_fail(st, attempt_id, backend, api::error_code::deadline_exceeded,
                   "deadline exceeded after " +
-                      std::to_string(st->health->config().request_timeout.count()) + " ms");
+                      std::to_string(st->health().config().request_timeout.count()) + " ms");
     // Cancel the hung job so its worker stops burning the deadline's
     // budget; the swallow id keeps the ack out of the client stream.
     st->backend_sessions[backend].handle(
         api::request{api::cancel_job_request{swallow, attempt_id}});
 }
 
-void federated_server::session::handle(const api::request& req) {
+void federated_server::on_backend_frame(detail::emitter& out,
+                                        const std::weak_ptr<session::state>& session,
+                                        std::string_view f) {
+    if (f.size() < api::k_off_corr + 8) {  // unaddressable: pass through
+        out.deliver(f);
+        return;
+    }
+    detail::attempt_tracker& tr = out.tracker;
+    const std::uint16_t tag = api::frame_u16(f, api::k_off_tag);
+    const std::uint64_t corr = api::frame_u64(f, api::k_off_corr);
+    if (!(corr & detail::k_attempt_bit)) {
+        // Client-correlated. Only forwarded building cancels need work:
+        // un-translate the response's target from attempt id back to the
+        // client's target id, in place.
+        if (tag == static_cast<std::uint16_t>(api::message_tag::cancel_result) &&
+            f.size() >= api::k_off_cancel_target + 8) {
+            std::uint64_t client_target = 0;
+            bool rewrite = false;
+            {
+                const std::lock_guard<std::mutex> lock(tr.m);
+                const auto it = tr.cancel_rewrites.find(corr);
+                if (it != tr.cancel_rewrites.end()) {
+                    client_target = it->second;
+                    rewrite = true;
+                    tr.cancel_rewrites.erase(it);
+                }
+            }
+            if (rewrite) {
+                out.deliver_patched(f, api::k_off_cancel_target, client_target);
+                return;
+            }
+        }
+        out.deliver(f);
+        return;
+    }
+    // Attempt-correlated: ours. Anything that is not a tracked building
+    // result or error — swallow-cancel acks, frames from attempts already
+    // resolved or re-keyed (a timed-out try answering late) — is dropped:
+    // the client either already has its answer or will get it from the
+    // retry in flight.
+    const bool is_result = tag == static_cast<std::uint16_t>(api::message_tag::building_result);
+    if (!is_result && tag != static_cast<std::uint16_t>(api::message_tag::error)) return;
+    bool transient = false;
+    if (is_result) {
+        const std::optional<api::report_status> status = api::peek_report_status(f);
+        transient = status && !status->ok && service::is_transient_fault(status->error);
+    }
+    std::size_t backend = 0;
+    std::uint64_t client = 0;
+    {
+        const std::lock_guard<std::mutex> lock(tr.m);
+        const auto it = tr.attempts.find(corr);
+        if (it == tr.attempts.end() || it->second.resolving) return;
+        backend = it->second.backend;
+        client = it->second.client_corr;
+        if (!transient) it->second.resolving = true;  // claim: delivery is final
+    }
+    if (!transient) {
+        // Success — or a genuine, deterministic failure the retry layer
+        // must NOT rerun. Patch the correlation id back to the client's;
+        // every other byte is the backend's.
+        out.health->on_success(backend);
+        out.deliver_patched(f, api::k_off_corr, client);
+        {
+            const std::lock_guard<std::mutex> lock(tr.m);
+            tr.erase(corr);
+        }
+        tr.cv.notify_all();
+        return;
+    }
+    out.health->on_failure(backend);
+    if (const std::shared_ptr<session::state> s = session.lock()) {
+        retry_or_fail(s, corr, backend, api::error_code::backend_unavailable,
+                      "backend kept failing transiently");
+        return;
+    }
+    // Session gone: nothing can re-dispatch — fail it now so the tracker
+    // drains.
+    {
+        const std::lock_guard<std::mutex> lock(tr.m);
+        tr.erase(corr);
+    }
+    out.health->count_backend_unavailable();
+    out.respond(api::error_response{client, api::error_code::backend_unavailable,
+                                    "backend failed and the session is gone"});
+    tr.cv.notify_all();
+}
+
+void federated_server::session::handle(const api::request& req) { handle(api::request(req)); }
+
+void federated_server::session::handle(api::request&& req) {
     const std::shared_ptr<state> st = state_;
+    const std::uint64_t corr = api::correlation_id(req);
+    if (corr & detail::k_attempt_bit) {
+        st->out->respond(api::error_response{
+            corr, api::error_code::bad_request,
+            "correlation ids with the top bit set are reserved for dispatch attempts"});
+        return;
+    }
     std::visit(
-        [&](const auto& m) {
+        [&](auto& m) {
             using T = std::decay_t<decltype(m)>;
             if constexpr (std::is_same_v<T, api::identify_building_request>) {
-                obs::scoped_span span("federation.dispatch");
-                // Affinity reads the building's content hash only when the
-                // policy routes on it (the hash walks every sample).
-                const bool affine =
-                    st->routing->rt.policy() == routing_policy::content_hash_affinity;
-                if (st->tracker) {
-                    // Protected path: pin the index up front (the identity
-                    // must survive failover — every retry reruns the SAME
-                    // task), register the attempt, then dispatch under a
-                    // minted attempt id the emitter intercepts.
-                    api::identify_building_request pinned = m;
-                    pinned.has_index = true;
-                    if (m.has_index)
-                        st->routing->advance_index(static_cast<std::size_t>(m.corpus_index) +
-                                                   1);
-                    else
-                        pinned.corpus_index = st->routing->allocate_index();
-                    const std::uint64_t affinity = affine ? data::content_hash(m.b) : 0;
-                    std::uint64_t id = 0;
-                    {
-                        const std::lock_guard<std::mutex> lock(st->tracker->m);
-                        id = st->tracker->mint();
-                        detail::attempt a;
-                        a.client_corr = m.correlation_id;
-                        a.req = std::move(pinned);
-                        a.affinity = affinity;
-                        a.trace = obs::current_context();
-                        st->tracker->attempts.emplace(id, std::move(a));
-                        st->tracker->attempt_by_client[m.correlation_id] = id;
-                    }
-                    dispatch_attempt(st, id);
-                    return;
-                }
-                const std::size_t k = [&] {
-                    obs::scoped_span route_span("federation.route");
-                    return st->pick(affine ? data::content_hash(m.b) : 0);
-                }();
-                st->remember(m.correlation_id, k);
-                if (m.has_index) {
-                    st->routing->advance_index(static_cast<std::size_t>(m.corpus_index) + 1);
-                    st->backend_sessions[k].handle(req);
-                } else {
-                    // The front-end is the one index-assignment authority:
-                    // pin the next global index before the hop, so the
-                    // backend (and its cache key) sees the same identity a
-                    // single service would assign.
-                    api::identify_building_request pinned = m;
-                    pinned.has_index = true;
-                    pinned.corpus_index = st->routing->allocate_index();
-                    st->backend_sessions[k].handle(api::request{std::move(pinned)});
-                }
+                submit_building(st, std::move(m));
             } else if constexpr (std::is_same_v<T, api::identify_shard_request>) {
                 obs::scoped_span span("federation.dispatch");
                 // Per-store confinement: only paths inside a mounted store
@@ -605,46 +702,37 @@ void federated_server::session::handle(const api::request& req) {
                     return;
                 }
                 st->routing->advance_index(m.ref.first_index + m.ref.num_buildings);
-                if (st->tracker) {
-                    // Shards fail over only on submit-time crashes: once a
-                    // backend accepts the stream it may have emitted
-                    // frames, and resubmission would duplicate them. The
-                    // loop is synchronous (submission is cheap — it only
-                    // enqueues), rerouting around each crashed backend.
-                    std::vector<backend_probe> probes = st->probe();
-                    const std::size_t max_tries =
-                        std::min(st->health->config().max_attempts, probes.size());
-                    std::size_t prev = probes.size();
-                    for (std::size_t t = 0; t < max_tries; ++t) {
-                        const std::size_t k =
-                            st->routing->route(shard_affinity(m.ref), probes);
-                        if (t > 0) {
-                            st->health->count_retry();
-                            if (k != prev) st->health->count_failover();
-                        }
-                        try {
-                            st->backend_sessions[k].handle(req);
-                            st->remember(m.correlation_id, k);
-                            st->health->on_success(k);
-                            return;
-                        } catch (const std::exception&) {
-                            st->health->on_failure(k);
-                            probes[k].broken = true;  // reroute away from it
-                            prev = k;
-                        }
+                // Shards fail over only on submit-time crashes: once a
+                // backend accepts the stream it may have emitted frames,
+                // and resubmission would duplicate them. The loop is
+                // synchronous (submission is cheap — it only enqueues),
+                // rerouting around each crashed backend.
+                fleet_health& health = st->health();
+                std::vector<backend_probe> probes = st->probe();
+                const std::size_t max_tries =
+                    std::min(health.config().max_attempts, probes.size());
+                std::size_t prev = probes.size();
+                for (std::size_t t = 0; t < max_tries; ++t) {
+                    const std::size_t k = st->route(shard_affinity(m.ref), probes);
+                    if (t > 0) {
+                        health.count_retry();
+                        if (k != prev) health.count_failover();
                     }
-                    st->health->count_backend_unavailable();
-                    st->out->respond(api::error_response{
-                        m.correlation_id, api::error_code::backend_unavailable,
-                        "every backend crashed on shard submit: " + m.ref.path});
-                    return;
+                    try {
+                        st->backend_sessions[k].handle(req);
+                        st->remember(m.correlation_id, k);
+                        health.on_success(k);
+                        return;
+                    } catch (const std::exception&) {
+                        health.on_failure(k);
+                        probes[k].broken = true;  // reroute away from it
+                        prev = k;
+                    }
                 }
-                const std::size_t k = [&] {
-                    obs::scoped_span route_span("federation.route");
-                    return st->pick(shard_affinity(m.ref));
-                }();
-                st->remember(m.correlation_id, k);
-                st->backend_sessions[k].handle(req);
+                health.count_backend_unavailable();
+                st->out->respond(api::error_response{
+                    m.correlation_id, api::error_code::backend_unavailable,
+                    "every backend crashed on shard submit: " + m.ref.path});
             } else if constexpr (std::is_same_v<T, api::get_stats_request>) {
                 service::service_stats s = gather_merged_stats(st->backends);
                 if (st->ingest) {
@@ -667,16 +755,17 @@ void federated_server::session::handle(const api::request& req) {
                 // versioned forward (or the batch was refused). The emitter
                 // is captured shared: the ack must deliver even if this
                 // session handle is dropped meanwhile.
-                const std::uint64_t corr = m.correlation_id;
+                const std::uint64_t ack_corr = m.correlation_id;
                 const std::shared_ptr<detail::emitter> out = st->out;
                 st->ingest->enqueue_append(
-                    m.corpus_name, m.records, [out, corr](const ingest::append_ack& ack) {
+                    std::move(m.corpus_name), std::move(m.records),
+                    [out, ack_corr](const ingest::append_ack& ack) {
                         if (ack.error.empty())
-                            out->respond(api::append_response{corr, ack.version, ack.accepted,
-                                                              ack.dirty});
+                            out->respond(api::append_response{ack_corr, ack.version,
+                                                              ack.accepted, ack.dirty});
                         else
                             out->respond(api::error_response{
-                                corr, api::error_code::bad_request, ack.error});
+                                ack_corr, api::error_code::bad_request, ack.error});
                     });
             } else if constexpr (std::is_same_v<T, api::watch_request>) {
                 // One subscription per (building, connection); the emitter
@@ -700,10 +789,9 @@ void federated_server::session::handle(const api::request& req) {
                 }
                 st->out->respond(api::watch_ack_response{m.correlation_id, active});
             } else if constexpr (std::is_same_v<T, api::identify_resident_request>) {
-                // Resolve the name against the mounted stores, then re-enter
-                // dispatch as a pinned identify_building: resident requests
-                // ride the exact routing/protection path client-supplied
-                // buildings do.
+                // Resolve the name against the mounted stores, then dispatch
+                // as a pinned identify_building: resident requests ride the
+                // exact routing/protection path client-supplied buildings do.
                 if (st->registry->num_stores() == 0) {
                     st->out->respond(api::error_response{
                         m.correlation_id, api::error_code::bad_request,
@@ -724,43 +812,39 @@ void federated_server::session::handle(const api::request& req) {
                 fwd.corpus_index = hit->global_index;
                 fwd.no_cache = m.fresh;
                 fwd.b = *hit->b;
-                handle(api::request{std::move(fwd)});
+                submit_building(st, std::move(fwd));
             } else if constexpr (std::is_same_v<T, api::subscribe_stats_request>) {
                 st->out->respond(api::error_response{
                     m.correlation_id, api::error_code::bad_request,
                     "subscribe_stats: telemetry windows live at the TCP front door "
                     "(connect through serve_tcp to stream stats)"});
             } else if constexpr (std::is_same_v<T, api::cancel_job_request>) {
-                if (st->tracker) {
-                    // Protected buildings live under attempt ids: translate
-                    // the target for the hop and record the un-translation
-                    // the response's target field needs on the way back.
-                    std::size_t backend = st->backends.size();
-                    std::uint64_t attempt_id = 0;
-                    {
-                        const std::lock_guard<std::mutex> lock(st->tracker->m);
-                        const auto alias =
-                            st->tracker->attempt_by_client.find(m.target_correlation_id);
-                        if (alias != st->tracker->attempt_by_client.end()) {
-                            const auto at = st->tracker->attempts.find(alias->second);
-                            if (at != st->tracker->attempts.end() && !at->second.resolving &&
-                                at->second.tries > 0) {
-                                attempt_id = alias->second;
-                                backend = at->second.backend;
-                                st->tracker->cancel_rewrites[m.correlation_id] =
-                                    m.target_correlation_id;
-                            }
+                // Buildings live under attempt ids: translate the target for
+                // the hop and record the un-translation the response's target
+                // field needs on the way back.
+                std::size_t backend = st->backends.size();
+                std::uint64_t attempt_id = 0;
+                {
+                    detail::attempt_tracker& tr = st->tracker();
+                    const std::lock_guard<std::mutex> lock(tr.m);
+                    const auto alias = tr.attempt_by_client.find(m.target_correlation_id);
+                    if (alias != tr.attempt_by_client.end()) {
+                        const auto at = tr.attempts.find(alias->second);
+                        if (at != tr.attempts.end() && !at->second.resolving &&
+                            at->second.tries > 0) {
+                            attempt_id = alias->second;
+                            backend = at->second.backend;
+                            tr.cancel_rewrites[m.correlation_id] = m.target_correlation_id;
                         }
                     }
-                    if (backend < st->backends.size()) {
-                        api::cancel_job_request fwd = m;
-                        fwd.target_correlation_id = attempt_id;
-                        st->backend_sessions[backend].handle(api::request{std::move(fwd)});
-                        return;
-                    }
-                    // else: not a live protected building — a shard job
-                    // (owners map below) or an unknown target.
                 }
+                if (backend < st->backends.size()) {
+                    api::cancel_job_request fwd = m;
+                    fwd.target_correlation_id = attempt_id;
+                    st->backend_sessions[backend].handle(api::request{fwd});
+                    return;
+                }
+                // Not a live building: a shard job, or an unknown target.
                 std::size_t owner = st->backends.size();
                 {
                     const std::lock_guard<std::mutex> lock(st->owners_m);
@@ -774,11 +858,10 @@ void federated_server::session::handle(const api::request& req) {
                                                           m.target_correlation_id, false});
             } else {
                 static_assert(std::is_same_v<T, api::flush_request>);
-                // Fan-out barrier: every backend drains — and, under
-                // protection, every attempt resolves (retries included) —
-                // before the one flush_response. (Flush on a paused fleet
-                // throws, exactly as floor_service::wait_all refuses to
-                // deadlock.)
+                // Fan-out barrier: every backend drains and every attempt
+                // resolves (retries included) before the one flush_response.
+                // (Flush on a paused fleet throws, exactly as
+                // floor_service::wait_all refuses to deadlock.)
                 st->drain();
                 {
                     const std::lock_guard<std::mutex> lock(st->owners_m);
@@ -791,14 +874,14 @@ void federated_server::session::handle(const api::request& req) {
 }
 
 bool federated_server::session::handle_frame(std::string_view frame) {
-    const api::decode_result<api::request> decoded = api::decode_request(frame);
+    api::decode_result<api::request> decoded = api::decode_request(frame);
     if (decoded.eof) return true;
     if (decoded.error) {
         state_->out->respond(
             api::error_response{0, decoded.error->code, decoded.error->message});
         return !decoded.fatal;
     }
-    handle(*decoded.value);
+    handle(std::move(*decoded.value));
     return true;
 }
 
@@ -817,15 +900,7 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
                                     std::to_string(cfg_.fault_plans.size()) +
                                     " fault plans for " + std::to_string(cfg_.num_backends) +
                                     " backends");
-    // Protection engages implicitly whenever something could go wrong on
-    // purpose (armed faults) or a deadline must be enforced; otherwise
-    // dispatch stays the byte-for-byte unprotected fast path.
-    bool any_fault = false;
-    for (const service::fault_plan& plan : cfg_.fault_plans) any_fault = any_fault || plan.any();
-    if (any_fault || cfg_.fault_tolerance.request_timeout.count() > 0)
-        cfg_.fault_tolerance.enabled = true;
-    if (cfg_.fault_tolerance.enabled)
-        health_ = std::make_shared<fleet_health>(cfg_.fault_tolerance, cfg_.num_backends);
+    health_ = std::make_shared<fleet_health>(cfg_.fault_tolerance, cfg_.num_backends);
     routing_ = std::make_shared<routing>(cfg_.policy, cfg_.num_backends);
     for (const std::string& dir : cfg_.store_dirs) static_cast<void>(registry_.mount(dir));
     backends_.reserve(cfg_.num_backends);
@@ -864,11 +939,15 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
         // that owns the manager. The bridge breaks the remaining knot: the
         // session's sink needs the manager, the manager needs the session.
         auto bridge = std::make_shared<std::weak_ptr<ingest::ingest_manager>>();
-        session internal = open([bridge](std::string_view frame) {
+        std::shared_ptr<resident_directory> residents = residents_;
+        session internal = open([bridge, residents](std::string_view frame) {
             const std::shared_ptr<ingest::ingest_manager> mgr = bridge->lock();
             if (!mgr) return;
             const api::decode_result<api::response> d = api::decode_response(frame);
             if (!d.value) return;
+            // Commit before the manager publishes the push: a read that
+            // follows the push must resolve to the post-append bits.
+            residents->commit(api::correlation_id(*d.value));
             if (const auto* br = std::get_if<api::building_response>(&*d.value))
                 mgr->on_reindex_result(br->correlation_id, &br->report);
             else if (const auto* er = std::get_if<api::error_response>(&*d.value))
@@ -877,7 +956,9 @@ federated_server::federated_server(federation_config cfg) : cfg_(std::move(cfg))
         std::shared_ptr<watch_registry> watches = watches_;
         ingest_ = std::make_shared<ingest::ingest_manager>(
             std::move(bindings),
-            [internal](std::uint64_t corr, std::size_t index, data::building b) mutable {
+            [internal, residents](std::uint64_t corr, std::size_t index,
+                                  data::building b) mutable {
+                residents->stage(corr, index, b);
                 api::identify_building_request req;
                 req.correlation_id = corr;
                 req.has_index = true;
@@ -898,6 +979,7 @@ federated_server::~federated_server() = default;
 federated_server::session federated_server::open(frame_sink sink) {
     auto out = std::make_shared<detail::emitter>();
     out->sink = std::move(sink);
+    out->health = health_;
     auto st = std::make_shared<session::state>();
     st->out = out;
     st->routing = routing_;
@@ -907,109 +989,14 @@ federated_server::session federated_server::open(frame_sink sink) {
     st->residents = residents_;
     st->backends.reserve(backends_.size());
     st->backend_sessions.reserve(backends_.size());
+    // Backend sinks hold the emitter (frames that land after the handle is
+    // dropped still resolve) and the state only weakly (state → backend
+    // sessions → sink → state would cycle).
+    const std::weak_ptr<session::state> w = st;
     for (const std::unique_ptr<api::server>& b : backends_) {
         st->backends.push_back(b.get());
         st->backend_sessions.push_back(
-            b->open([out](std::string_view frame) { out->frame(frame); }));
-    }
-    if (health_) {
-        st->health = health_;
-        st->tracker = std::make_shared<detail::attempt_tracker>();
-        // The intercept closure is owned by the emitter, so it captures
-        // the emitter raw (same lifetime) and the session state weakly
-        // (backend sinks → emitter → closure → state would cycle). The
-        // tracker and fleet_health are co-owned: frames that arrive after
-        // the session handle died still resolve or drop correctly.
-        detail::emitter* self = out.get();
-        std::weak_ptr<session::state> w = st;
-        std::shared_ptr<detail::attempt_tracker> tracker = st->tracker;
-        std::shared_ptr<fleet_health> health = health_;
-        out->intercept = [self, w, tracker, health](std::string_view f) -> bool {
-            if (f.size() < k_off_corr + 8) return false;  // unaddressable: pass through
-            const std::uint16_t tag = rd_u16(f, k_off_tag);
-            const std::uint64_t corr = rd_u64(f, k_off_corr);
-            if (!(corr & detail::k_attempt_bit)) {
-                // Client-correlated. Only forwarded cancels need work: un-
-                // translate the response's target from attempt id back to
-                // the client's target id, in place.
-                if (tag == static_cast<std::uint16_t>(api::message_tag::cancel_result) &&
-                    f.size() >= k_off_cancel_target + 8) {
-                    std::uint64_t client_target = 0;
-                    {
-                        const std::lock_guard<std::mutex> lock(tracker->m);
-                        const auto it = tracker->cancel_rewrites.find(corr);
-                        if (it == tracker->cancel_rewrites.end()) return false;
-                        client_target = it->second;
-                        tracker->cancel_rewrites.erase(it);
-                    }
-                    std::string patched(f);
-                    patch_u64(patched, k_off_cancel_target, client_target);
-                    self->deliver(patched);
-                    return true;
-                }
-                return false;
-            }
-            // Attempt-correlated: ours. Anything that is not a tracked
-            // building result or error — swallow-cancel acks, frames from
-            // attempts already resolved or re-keyed (a timed-out try
-            // answering late) — is dropped: the client either already has
-            // its answer or will get it from the retry in flight.
-            std::size_t backend = 0;
-            std::uint64_t client = 0;
-            bool transient = false;
-            {
-                const std::lock_guard<std::mutex> lock(tracker->m);
-                const auto it = tracker->attempts.find(corr);
-                if (it == tracker->attempts.end() || it->second.resolving) return true;
-                if (tag != static_cast<std::uint16_t>(api::message_tag::building_result) &&
-                    tag != static_cast<std::uint16_t>(api::message_tag::error))
-                    return true;
-                backend = it->second.backend;
-                client = it->second.client_corr;
-                if (tag == static_cast<std::uint16_t>(api::message_tag::building_result)) {
-                    const api::decode_result<api::response> d = api::decode_response(f);
-                    const api::building_response* br =
-                        d.value ? std::get_if<api::building_response>(&*d.value) : nullptr;
-                    transient =
-                        br && !br->report.ok && service::is_transient_fault(br->report.error);
-                }
-                if (!transient) it->second.resolving = true;  // claim: delivery is final
-            }
-            if (!transient) {
-                // Success — or a genuine, deterministic failure the retry
-                // layer must NOT rerun. Patch the correlation id back to
-                // the client's in place; every other byte is verbatim, so
-                // successful responses match an unprotected run exactly.
-                health->on_success(backend);
-                std::string patched(f);
-                patch_u64(patched, k_off_corr, client);
-                self->deliver(patched);
-                {
-                    const std::lock_guard<std::mutex> lock(tracker->m);
-                    tracker->erase(corr);
-                }
-                tracker->cv.notify_all();
-                return true;
-            }
-            health->on_failure(backend);
-            if (const std::shared_ptr<session::state> s = w.lock()) {
-                retry_or_fail(s, corr, backend, api::error_code::backend_unavailable,
-                              "backend kept failing transiently");
-            } else {
-                // Session gone: nothing can re-dispatch — fail it now so
-                // the tracker drains.
-                {
-                    const std::lock_guard<std::mutex> lock(tracker->m);
-                    tracker->erase(corr);
-                }
-                health->count_backend_unavailable();
-                self->deliver(api::encode(api::response{api::error_response{
-                    client, api::error_code::backend_unavailable,
-                    "backend failed and the session is gone"}}));
-                tracker->cv.notify_all();
-            }
-            return true;
-        };
+            b->open([out, w](std::string_view frame) { on_backend_frame(*out, w, frame); }));
     }
     return session(std::move(st));
 }
@@ -1022,7 +1009,7 @@ void federated_server::serve(std::istream& in, std::ostream& out) {
     });
     try {
         for (;;) {
-            const api::decode_result<api::request> r = api::read_request(in);
+            api::decode_result<api::request> r = api::read_request(in);
             if (r.eof) break;
             if (r.error) {
                 s.state_->out->respond(
@@ -1030,7 +1017,7 @@ void federated_server::serve(std::istream& in, std::ostream& out) {
                 if (r.fatal) break;
                 continue;
             }
-            s.handle(*r.value);
+            s.handle(std::move(*r.value));
             if (s.sink_broken()) break;
         }
     } catch (...) {
@@ -1065,10 +1052,7 @@ void federated_server::resume() {
     for (const std::unique_ptr<api::server>& b : backends_) b->backing_service().resume();
 }
 
-std::optional<health_snapshot> federated_server::health() const {
-    if (!health_) return std::nullopt;
-    return health_->snapshot();
-}
+health_snapshot federated_server::health() const { return health_->snapshot(); }
 
 api::server& federated_server::backend(std::size_t k) {
     if (k >= backends_.size())

@@ -38,13 +38,14 @@
 ///    to the subscribed connection as a `push_update`.
 ///  - `identify_resident` — the request names a building already resident
 ///    in a mounted store; the front-end resolves the name to its global
-///    corpus index through the server-wide resident directory (rebuilt
-///    when a store's manifest versions forward), loads the building once
-///    into an in-memory cache (span `federation.resident_load`), and
-///    dispatches it as a pinned `identify_building` — so resident requests
-///    ride the exact routing/protection path client-supplied buildings do,
-///    with a few name bytes on the wire instead of the whole building.
-///    Unknown names and store-less fleets answer `bad_request`.
+///    corpus index and bits through the server-wide resident directory
+///    (span `federation.resident_load` on a name's first load; each
+///    append re-run commits its building's post-append bits before its
+///    push goes out),
+///    and dispatches it as a pinned `identify_building` — so resident
+///    requests ride the exact routing/protection path client-supplied
+///    buildings do, with a few name bytes on the wire instead of the whole
+///    building. Unknown names and store-less fleets answer `bad_request`.
 ///  - `subscribe_stats` — answered `bad_request`: telemetry windows live at
 ///    the TCP front door (`net::tcp_server`), the only layer that sees
 ///    sheds and admission.
@@ -64,33 +65,34 @@
 /// before any filesystem access (backends run with the front-end's
 /// already-confined paths).
 ///
-/// **Fault tolerance** (the protected dispatch path; engages when
-/// `fault_tolerance.enabled`, a request timeout is set, or any backend has
-/// an armed `fault_plan`): building requests are forwarded under minted
-/// *attempt* correlation ids (top bit set — protected mode reserves
-/// high-bit client correlation ids; `net::tcp_server` remaps client ids to
-/// small internal ones, so TCP clients are never affected) and the
-/// response channel intercepts backend frames. A success (or a genuine,
-/// deterministic pipeline failure — rerunning those would only repeat
-/// them) has its correlation id patched back to the client's in place, so
-/// successful responses stay byte-identical to an unprotected run. A
-/// *transient* failure (`service::is_transient_fault`), a submit-time
-/// crash, or a deadline expiry instead feeds the backend's circuit breaker
-/// and reschedules the attempt — exponential backoff, rerouted around
-/// broken backends (failover), a hung attempt cancelled at its deadline —
-/// until it succeeds or `max_attempts` is spent, when the client gets a
-/// typed `backend_unavailable` / `deadline_exceeded` error. All deferred
-/// work runs on the `fleet_health` watchdog thread, never inline from a
-/// completion callback (which must not block or submit). Shard requests
-/// fail over only on submit-time crashes (before any response frame
-/// exists); mid-shard failures are forwarded as-is — a shard stream has
-/// already emitted frames, so resubmission would duplicate them.
+/// **Fault tolerance** — one dispatch path, always protected. Building
+/// requests are forwarded under minted *attempt* correlation ids (top bit
+/// set), and the response channel intercepts backend frames. A success (or
+/// a genuine, deterministic pipeline failure — rerunning those would only
+/// repeat them) has its correlation id patched back to the client's in
+/// place; every other byte is the backend's. A *transient* failure
+/// (`service::is_transient_fault`, read off the frame's report status
+/// without decoding the report), a submit-time crash, or a deadline expiry
+/// instead feeds the backend's circuit breaker and reschedules the attempt
+/// — exponential backoff, rerouted around broken backends (failover), a
+/// hung attempt cancelled at its deadline — until it succeeds or
+/// `max_attempts` is spent, when the client gets a typed
+/// `backend_unavailable` / `deadline_exceeded` error. All deferred work runs
+/// on the `fleet_health` watchdog thread, never inline from a completion
+/// callback (which must not block or submit). Shard requests fail over
+/// only on submit-time crashes (before any response frame exists);
+/// mid-shard failures are forwarded as-is — a shard stream has already
+/// emitted frames, so resubmission would duplicate them.
+///
+/// Correlation ids with the top bit set are reserved for attempts: a
+/// request carrying one is answered `bad_request` and never dispatched.
+/// `net::tcp_server` remaps client ids to small internal ones, so TCP
+/// clients never meet the reservation.
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -108,6 +110,10 @@ class ingest_manager;
 namespace fisone::federation {
 
 class watch_registry;
+
+namespace detail {
+struct emitter;
+}  // namespace detail
 
 /// Fleet configuration.
 struct federation_config {
@@ -127,10 +133,8 @@ struct federation_config {
     /// shard** (`content_hash % num_backends == k`) on restart. Empty —
     /// the default — keeps caches purely in-memory.
     std::string cache_dir;
-    /// Retry / deadline / circuit-breaker tuning. The protected dispatch
-    /// path engages when `enabled` is set, `request_timeout` is non-zero,
-    /// or any entry of `fault_plans` is armed; otherwise dispatch is
-    /// byte-for-byte the unprotected fast path.
+    /// Retry / deadline / circuit-breaker tuning of the (always-on)
+    /// protected dispatch path.
     fault_tolerance_config fault_tolerance{};
     /// Per-backend fault injection (tests and chaos drills). Empty = every
     /// backend healthy; otherwise exactly one plan per backend.
@@ -157,8 +161,10 @@ public:
     /// (or server teardown) before tearing them down.
     class session {
     public:
-        /// Dispatch one decoded request.
+        /// Dispatch one decoded request. The rvalue overload moves the
+        /// request's building into the dispatch instead of copying it.
         void handle(const api::request& req);
+        void handle(api::request&& req);
 
         /// Decode one frame, then dispatch. Returns false when the failure
         /// was fatal (framing integrity lost — the feeder should stop).
@@ -214,13 +220,22 @@ public:
     /// \throws std::out_of_range on a bad index.
     [[nodiscard]] api::server& backend(std::size_t k);
 
-    /// Fleet-health counters and per-backend breaker states; nullopt when
-    /// the protected dispatch path is off.
-    [[nodiscard]] std::optional<health_snapshot> health() const;
+    /// Fleet-health counters and per-backend breaker states.
+    [[nodiscard]] health_snapshot health() const;
 
 private:
     struct routing;
     struct resident_directory;
+
+    /// Register one building request as a protected attempt (its index
+    /// pinned first) and dispatch it.
+    static void submit_building(const std::shared_ptr<session::state>& st,
+                                api::identify_building_request&& req);
+    /// The response channel's interception of one backend frame: resolve,
+    /// retry, or drop attempt frames; pass the rest through.
+    static void on_backend_frame(detail::emitter& out,
+                                 const std::weak_ptr<session::state>& session,
+                                 std::string_view frame);
 
     static void dispatch_attempt(const std::shared_ptr<session::state>& st,
                                  std::uint64_t attempt_id);
@@ -235,13 +250,12 @@ private:
     /// Shared with sessions so routing state outlives a dropped handle.
     std::shared_ptr<routing> routing_;
     /// Shared with sessions/emitters (they may outlive the server's own
-    /// pointer during teardown); null when protection is off. Destroyed
-    /// after `backends_`, so the watchdog outlives draining jobs.
+    /// pointer during teardown). Destroyed after `backends_`, so the
+    /// watchdog outlives draining jobs.
     std::shared_ptr<fleet_health> health_;
-    /// Name → global-corpus-index directory over the mounted stores, plus
-    /// the in-memory cache of buildings `identify_resident` has served.
-    /// Shared with every session; rebuilt lazily when a store's manifest
-    /// version moves.
+    /// Name → (global corpus index, building) over the mounted stores,
+    /// shared with every session and kept current by the ingest manager's
+    /// re-runs.
     std::shared_ptr<resident_directory> residents_;
     /// Standing `watch` subscriptions, shared with every session. Entries
     /// expire with their connection's emitter, so no teardown ordering

@@ -43,7 +43,12 @@ struct rf_gnn_config {
     std::size_t num_hops = 2;          ///< K
     std::size_t neighbor_samples = 8;  ///< |N'(v)| sampled per hop during training
     bool use_attention = true;         ///< false → uniform sampling + mean aggregation
-    bool train_base_embeddings = true; ///< r⁰ trainable (see DESIGN.md)
+    /// r⁰ is a trainable parameter, updated by the optimizer with the
+    /// dense layers. The paper does not say how r⁰ is obtained; with only
+    /// graph structure as input (no node features), a learned r⁰ is the
+    /// GraphSAGE-without-features reading. false keeps r⁰ at its random
+    /// initialisation.
+    bool train_base_embeddings = true;
     activation act = activation::tanh;
 
     graph::walk_config walks{};        ///< 5-step walks by default

@@ -64,10 +64,10 @@ void ingest_manager::on_reindex_result(std::uint64_t corr,
         ++publishing_;
     }
     if (report != nullptr && publish_) publish_(name, version, *report);
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        --publishing_;
-    }
+    // Notify under the lock: the destructor's idle wait may return, and
+    // destroy the condition variable, as soon as the lock is released.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    --publishing_;
     idle_cv_.notify_all();
 }
 

@@ -31,30 +31,6 @@ namespace {
 
 using clock_type = std::chrono::steady_clock;
 
-// Response-frame layout offsets (see api/codec.hpp): every response
-// payload begins with its u64 correlation id, so a multiplexer can remap
-// ids with an 8-byte patch instead of a decode/re-encode round trip.
-constexpr std::size_t k_off_tag = 8;
-constexpr std::size_t k_off_corr = api::k_frame_header_size;       // 14
-constexpr std::size_t k_off_cancel_target = k_off_corr + 8;        // 22
-
-std::uint16_t rd_u16(std::string_view b, std::size_t off) {
-    return static_cast<std::uint16_t>(static_cast<unsigned char>(b[off]) |
-                                      (static_cast<unsigned char>(b[off + 1]) << 8));
-}
-
-std::uint64_t rd_u64(std::string_view b, std::size_t off) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[off + i])) << (8 * i);
-    return v;
-}
-
-void patch_u64(std::string& b, std::size_t off, std::uint64_t v) {
-    for (std::size_t i = 0; i < 8; ++i)
-        b[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
 [[noreturn]] void throw_errno(const char* what) {
     throw std::system_error(errno, std::generic_category(), what);
 }
@@ -214,8 +190,8 @@ struct tcp_server::conn {
         }
         const std::size_t at = wbuf.size();
         wbuf.append(frame.data(), frame.size());
-        if (patch_corr) patch_u64(wbuf, at + k_off_corr, *patch_corr);
-        if (patch_target) patch_u64(wbuf, at + k_off_cancel_target, *patch_target);
+        if (patch_corr) api::patch_frame_u64(wbuf, at + api::k_off_corr, *patch_corr);
+        if (patch_target) api::patch_frame_u64(wbuf, at + api::k_off_cancel_target, *patch_target);
         return true;
     }
 
@@ -250,21 +226,21 @@ struct tcp_server::conn {
     }
 };
 
-/// The response sink installed on each connection's backend session. Runs
+/// The response sink installed on each connection's fleet session. Runs
 /// on backend worker threads (and inline on the loop thread for
 /// synchronous answers); touches only `conn` shared state and `core`.
 void tcp_server::core::on_response_frame(const std::shared_ptr<core>& co,
                                          const std::shared_ptr<conn>& c,
                                          std::size_t max_wbuf, std::string_view frame) {
-    // Frames come from our own backend's encoder — always one complete,
+    // Frames come from our own fleet's encoder — always one complete,
     // well-formed response frame per call. Anything shorter than a header
     // plus a correlation id cannot be ours; drop it defensively.
-    if (frame.size() < k_off_corr + 8) return;
+    if (frame.size() < api::k_off_corr + 8) return;
     // Runs under the worker's trace context (installed at job pickup), so
     // the respond span lands inside the request tree it answers.
     obs::scoped_span span("net.respond");
-    const std::uint16_t tag = rd_u16(frame, k_off_tag);
-    const std::uint64_t wire_corr = rd_u64(frame, k_off_corr);
+    const std::uint16_t tag = api::frame_u16(frame, api::k_off_tag);
+    const std::uint64_t wire_corr = api::frame_u64(frame, api::k_off_corr);
 
     std::size_t sent = 0, dropped = 0, completed = 0;
     request_finish fi;
@@ -312,9 +288,9 @@ void tcp_server::core::on_response_frame(const std::shared_ptr<core>& co,
                 break;
             }
             case api::message_tag::cancel_result: {
-                if (frame.size() >= k_off_cancel_target + 8) {
+                if (frame.size() >= api::k_off_cancel_target + 8) {
                     const std::uint64_t internal_target =
-                        rd_u64(frame, k_off_cancel_target);
+                        api::frame_u64(frame, api::k_off_cancel_target);
                     const auto it = c->cancel_rewrites.find(internal_target);
                     if (it != c->cancel_rewrites.end()) {
                         client_target = it->second;
@@ -393,40 +369,6 @@ void tcp_server::core::complete_request(const request_finish& fi) const {
         std::fprintf(stderr, "%s\n", line.c_str());
 }
 
-// --- backend adapters --------------------------------------------------------
-
-backend make_backend(api::server& srv) {
-    return backend{
-        [&srv](api::server::frame_sink sink) {
-            api::server::session s = srv.open(std::move(sink));
-            return backend_session{
-                [s](const api::request& r) mutable { s.handle(r); }};
-        },
-        [&srv] { return srv.stats(); },
-        [&srv] { return std::vector<api::result_cache_stats>{srv.cache_stats()}; },
-        nullptr,  // single server: no fleet health
-    };
-}
-
-backend make_backend(federation::federated_server& srv) {
-    return backend{
-        [&srv](api::server::frame_sink sink) {
-            federation::federated_server::session s = srv.open(std::move(sink));
-            return backend_session{
-                [s](const api::request& r) mutable { s.handle(r); }};
-        },
-        [&srv] { return srv.stats(); },
-        [&srv] {
-            std::vector<api::result_cache_stats> out;
-            out.reserve(srv.num_backends());
-            for (std::size_t k = 0; k < srv.num_backends(); ++k)
-                out.push_back(srv.backend(k).cache_stats());
-            return out;
-        },
-        [&srv] { return srv.health(); },
-    };
-}
-
 // --- the event loop ----------------------------------------------------------
 
 /// Loop-local state of one `run()` invocation.
@@ -436,7 +378,7 @@ struct tcp_server::loop {
 
     struct open_conn {
         std::shared_ptr<conn> c;
-        backend_session session;
+        federation::federated_server::session session;
     };
     std::unordered_map<int, open_conn> conns;
     bool listener_open = true;
@@ -504,8 +446,8 @@ struct tcp_server::loop {
             }
             const std::shared_ptr<core> core_sp = srv.core_;
             const std::size_t max_wbuf = srv.cfg_.max_write_buffer;
-            backend_session session = srv.backend_.open(
-                [core_sp, c, max_wbuf](std::string_view frame) {
+            federation::federated_server::session session =
+                srv.fleet_.open([core_sp, c, max_wbuf](std::string_view frame) {
                     core::on_response_frame(core_sp, c, max_wbuf, frame);
                 });
             add(fd, EPOLLIN);
@@ -652,7 +594,7 @@ struct tcp_server::loop {
             obs::context_guard trace_guard(req_trace);
             obs::scoped_span span("net.dispatch");
             try {
-                oc.session.handle(req);
+                oc.session.handle(std::move(req));
             } catch (const std::exception& e) {
                 failed = true;
                 what = e.what();
@@ -713,7 +655,7 @@ struct tcp_server::loop {
             const std::uint64_t corr = mr->correlation_id;
             if (admit(c, corr)) forward_job(oc, std::move(req), corr, 1);
         } else if (const auto* msub = std::get_if<api::subscribe_stats_request>(&req)) {
-            // Served here, not by the backend: the admission and shed
+            // Served here, not by the fleet: the admission and shed
             // counters the stream exposes live in this layer. Ack, then
             // let the telemetry tick push stats_update frames.
             const bool had = c.stats_sub.has_value();
@@ -783,8 +725,8 @@ struct tcp_server::loop {
             // get_stats / watch: pass through with the client's own
             // correlation id — their answers (and any later push_update
             // frames a watch produces) echo it and need no remapping,
-            // because each connection has its own backend session.
-            oc.session.handle(req);
+            // because each connection has its own fleet session.
+            oc.session.handle(std::move(req));
         }
     }
 
@@ -1126,10 +1068,8 @@ struct tcp_server::loop {
 
 // --- public surface ----------------------------------------------------------
 
-tcp_server::tcp_server(backend be, tcp_server_config cfg)
-    : backend_(std::move(be)), cfg_(std::move(cfg)) {
-    if (!backend_.open || !backend_.stats)
-        throw std::invalid_argument("net: backend must provide open and stats");
+tcp_server::tcp_server(federation::federated_server& fleet, tcp_server_config cfg)
+    : fleet_(fleet), cfg_(std::move(cfg)) {
     if (cfg_.max_inflight_requests == 0)
         throw std::invalid_argument("net: max_inflight_requests must be >= 1");
     if (cfg_.max_connections == 0)
@@ -1189,9 +1129,11 @@ tcp_server_stats tcp_server::stats() const {
 std::string tcp_server::metrics_text() const {
     metrics_extras extras;
     extras.stages = obs::stage_stats();
-    if (backend_.backend_caches) extras.backend_caches = backend_.backend_caches();
-    if (backend_.health) extras.federation = backend_.health();
-    return render_metrics(stats(), backend_.stats(), extras);
+    extras.backend_caches.reserve(fleet_.num_backends());
+    for (std::size_t k = 0; k < fleet_.num_backends(); ++k)
+        extras.backend_caches.push_back(fleet_.backend(k).cache_stats());
+    extras.federation = fleet_.health();
+    return render_metrics(stats(), fleet_.stats(), extras);
 }
 
 }  // namespace fisone::net

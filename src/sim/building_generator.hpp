@@ -3,7 +3,12 @@
 /// \file building_generator.hpp
 /// Synthetic multi-floor buildings with crowdsourced RF scans — the data
 /// substitution for the paper's Microsoft open dataset and the three
-/// shopping malls (see DESIGN.md §1). Every building draws AP positions,
+/// shopping malls, which this reproduction does not ship: the generator
+/// reproduces their shape (floor counts, AP densities, scan counts per
+/// floor, cross-floor signal spillover) rather than their bytes. Malls
+/// differ from office towers in geometry (wider floor plates, an open
+/// atrium) and propagation (lower path-loss exponent, stronger shadowing),
+/// calibrated to the paper's reported difficulty. Every building draws AP positions,
 /// contributor devices and scan positions from a seeded RNG, runs every
 /// AP–scan link through the propagation model, and packages the detected
 /// readings as `data::building` with the one-label protocol applied.

@@ -528,6 +528,44 @@ TEST(federated_server, identify_resident_resolves_names_and_fresh_bypasses_cache
     EXPECT_EQ(err->code, api::error_code::bad_request);
 }
 
+TEST(federated_server, reserved_correlation_ids_answer_bad_request) {
+    const std::string root = scratch_dir("reserved");
+    const data::corpus city = tiny_corpus(2);
+    const std::vector<std::string> dirs = split_into_stores(city, 1, root, 1);
+
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 2;
+    cfg.store_dirs = dirs;
+    federation::federated_server srv(cfg);
+    response_collector collected;
+    federation::federated_server::session s = srv.open(collected.sink());
+
+    // The top bit marks dispatch attempts; a client id carrying it would
+    // collide with them, so every verb refuses it up front — nothing is
+    // swallowed, nothing runs.
+    constexpr std::uint64_t reserved = std::uint64_t{1} << 63;
+    const service::shard_ref ref = srv.registry().shards().front().ref;
+    s.handle(api::identify_shard_request{reserved | 1, ref});
+    api::identify_building_request b;
+    b.correlation_id = reserved | 2;
+    b.b = city.buildings[0];
+    s.handle(api::request{b});
+    s.handle(api::cancel_job_request{reserved | 3, 1});
+    s.handle(api::flush_request{4});
+
+    const std::vector<api::error_response> errors = collected.of<api::error_response>();
+    ASSERT_EQ(errors.size(), 3u);
+    for (std::size_t i = 0; i < errors.size(); ++i) {
+        EXPECT_EQ(errors[i].correlation_id, reserved | (i + 1));
+        EXPECT_EQ(errors[i].code, api::error_code::bad_request);
+    }
+    EXPECT_TRUE(collected.of<api::building_response>().empty());
+    EXPECT_TRUE(collected.of<api::cancel_response>().empty());
+    EXPECT_EQ(collected.of<api::flush_response>().size(), 1u);
+    EXPECT_EQ(srv.stats().jobs_submitted, 0u);
+}
+
 TEST(federated_server, least_queue_depth_never_routes_to_paused_backend) {
     const std::size_t n = 5;
     const data::corpus city = tiny_corpus(n);
@@ -675,14 +713,13 @@ std::string protected_campaign_ndjson(federation::federated_server& srv, std::si
 }
 
 TEST(fault_tolerant_fleet, transient_failures_retry_to_byte_identical_ndjson) {
-    // Baseline: the same campaign through a healthy, unprotected fleet.
+    // Baseline: the same campaign through a healthy fleet.
     federation::federation_config healthy;
     healthy.service = fast_service_config(1);
     healthy.num_backends = 2;
     federation::federated_server healthy_srv(healthy);
     const std::string baseline = protected_campaign_ndjson(healthy_srv, 6);
     ASSERT_FALSE(baseline.empty());
-    EXPECT_FALSE(healthy_srv.health().has_value());  // protection off: no snapshot
 
     // Every third execution on backend 0 fails transiently; the fleet must
     // retry/failover to the exact same bytes.
@@ -1012,6 +1049,55 @@ TEST(live_ingestion, append_reindexes_dirty_and_reserves_clean_from_cache) {
     // Unsubscribing drops the gauge back to zero.
     s.handle(api::request{api::watch_request{501, "fed-1", false}});
     EXPECT_EQ(srv.stats().watch_subscribers, 0u);
+}
+
+TEST(live_ingestion, identify_resident_answers_post_append_bits) {
+    const std::string root = scratch_dir("ingest_resident");
+    const data::corpus city = tiny_corpus(3);
+    const std::vector<std::string> dirs = split_into_stores(city, 1, root, 2);
+
+    federation::federation_config cfg;
+    cfg.service = fast_service_config(1);
+    cfg.num_backends = 2;
+    cfg.store_dirs = dirs;
+    federation::federated_server srv(cfg);
+    response_collector collected;
+    federation::federated_server::session s = srv.open(collected.sink());
+
+    // Serve fed-1 by name first, so its pre-append bits are resident and
+    // its pre-append answer is cached.
+    api::identify_resident_request read;
+    read.correlation_id = 10;
+    read.name = "fed-1";
+    s.handle(api::request{read});
+    s.handle(api::request{api::watch_request{11, "fed-1", true}});
+    api::append_scans_request ap;
+    ap.correlation_id = 12;
+    ap.corpus_name = "fed-city-part-0";
+    ap.records = {fresh_scans_for(1, 9191)};
+    s.handle(api::request{std::move(ap)});
+    s.handle(api::flush_request{13});  // append durable, re-run pushed
+
+    const auto pushes = collected.of<api::push_response>();
+    ASSERT_EQ(pushes.size(), 1u);
+    ASSERT_TRUE(pushes[0].report.ok) << pushes[0].report.error;
+
+    read.correlation_id = 14;
+    s.handle(api::request{read});
+    s.handle(api::flush_request{15});
+    const auto answers = collected.of<api::building_response>();
+    const auto after = std::find_if(answers.begin(), answers.end(),
+                                    [](const auto& r) { return r.correlation_id == 14; });
+    const auto before = std::find_if(answers.begin(), answers.end(),
+                                     [](const auto& r) { return r.correlation_id == 10; });
+    ASSERT_NE(after, answers.end());
+    ASSERT_NE(before, answers.end());
+    service::ndjson_options opts;
+    opts.include_timing = false;
+    EXPECT_EQ(service::to_ndjson(after->report, opts),
+              service::to_ndjson(pushes[0].report, opts));
+    EXPECT_NE(service::to_ndjson(before->report, opts),
+              service::to_ndjson(pushes[0].report, opts));  // the append changed fed-1
 }
 
 TEST(live_ingestion, slow_reads_during_reindex_serialise_appends_and_stay_correct) {
