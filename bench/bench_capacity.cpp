@@ -253,14 +253,17 @@ struct rung {
     std::uint64_t admitted = 0;
     std::uint64_t completed = 0;  ///< latency observations = finished requests
     std::uint64_t shed = 0;
-    double active_seconds = 0.0;  ///< Σ duration of the active windows
     double latency_sum = 0.0;
     double p50 = 0.0;  ///< count-weighted mean of the window p50s
     double p99 = 0.0;  ///< worst window p99 (conservative)
     std::size_t windows = 0;
+    double wall_seconds = 0.0;  ///< first send to last answer, at least the rung length
 
     [[nodiscard]] double goodput_per_sec() const {
-        return active_seconds > 0.0 ? static_cast<double>(completed) / active_seconds : 0.0;
+        return wall_seconds > 0.0 ? static_cast<double>(completed) / wall_seconds : 0.0;
+    }
+    [[nodiscard]] double client_results_per_sec() const {
+        return wall_seconds > 0.0 ? static_cast<double>(client_results) / wall_seconds : 0.0;
     }
     [[nodiscard]] double shed_rate() const {
         const double total = static_cast<double>(admitted + shed);
@@ -272,8 +275,7 @@ struct rung {
 };
 
 /// Fold one telemetry window into the rung (only windows that saw any
-/// admission, shed, or completion count — idle settling windows would
-/// dilute goodput).
+/// admission, shed, or completion count toward `windows`).
 void fold_window(rung& r, const api::stats_update_response& u) {
     if (u.admitted == 0 && u.shed_overload == 0 && u.shed_draining == 0 &&
         u.latency_count == 0)
@@ -282,7 +284,6 @@ void fold_window(rung& r, const api::stats_update_response& u) {
     r.shed += u.shed_overload + u.shed_draining;
     r.completed += u.latency_count;
     r.latency_sum += u.latency_sum;
-    r.active_seconds += u.window_seconds;
     // p50: count-weighted incremental mean; p99: worst window.
     if (u.latency_count > 0) {
         const double w = static_cast<double>(u.latency_count);
@@ -412,7 +413,13 @@ int main(int argc, char** argv) try {
                   << rung_seconds << "s...\n";
         rung r;
         r.offered_per_sec = rate;
+        const clock_type::time_point rung_start = clock_type::now();
         const load_result load = run_load(host, port, names, rate, rung_seconds, connections);
+        // The schedule spans the rung length even when the last answer
+        // lands earlier, so the rung's wall time is never shorter than it.
+        r.wall_seconds = std::max(
+            rung_seconds,
+            std::chrono::duration<double>(clock_type::now() - rung_start).count());
         r.sent = load.sent;
         r.client_results = load.results;
         r.client_shed = load.shed;
@@ -435,7 +442,8 @@ int main(int argc, char** argv) try {
         }
         if (r.windows == 0)
             throw std::runtime_error("telemetry stream went silent mid-rung");
-        std::cerr << "  goodput " << r.goodput_per_sec() << "/s, shed rate "
+        std::cerr << "  goodput " << r.goodput_per_sec() << "/s (client "
+                  << r.client_results_per_sec() << "/s), shed rate "
                   << r.shed_rate() * 100.0 << "%, p99 " << r.p99 * 1e3 << " ms ("
                   << r.windows << " windows)\n";
         rungs.push_back(r);
@@ -455,10 +463,12 @@ int main(int argc, char** argv) try {
     util::table_printer table("Capacity frontier — identify_resident over " +
                               std::to_string(connections) + " connections, shed threshold " +
                               util::table_printer::num(shed_threshold * 100.0, 1) + "%");
-    table.header({"offered/s", "goodput/s", "shed %", "p50 ms", "p99 ms", "windows"});
+    table.header({"offered/s", "goodput/s", "client results/s", "shed %", "p50 ms", "p99 ms",
+                  "windows"});
     for (const rung& r : rungs)
         table.row({util::table_printer::num(r.offered_per_sec, 1),
                    util::table_printer::num(r.goodput_per_sec(), 1),
+                   util::table_printer::num(r.client_results_per_sec(), 1),
                    util::table_printer::num(r.shed_rate() * 100.0, 2),
                    util::table_printer::num(r.p50 * 1e3, 1),
                    util::table_printer::num(r.p99 * 1e3, 1), std::to_string(r.windows)});
@@ -502,7 +512,10 @@ int main(int argc, char** argv) try {
             const rung& r = rungs[i];
             cap << "      {\"offered_per_sec\": " << bench::json_num(r.offered_per_sec)
                 << ", \"sent\": " << r.sent
+                << ", \"wall_seconds\": " << bench::json_num(r.wall_seconds)
                 << ", \"goodput_per_sec\": " << bench::json_num(r.goodput_per_sec())
+                << ", \"client_results_per_sec\": "
+                << bench::json_num(r.client_results_per_sec())
                 << ", \"shed_rate\": " << bench::json_num(r.shed_rate())
                 << ", \"admitted\": " << r.admitted << ", \"shed\": " << r.shed
                 << ", \"latency_mean_ms\": " << bench::json_num(r.mean_seconds() * 1e3)

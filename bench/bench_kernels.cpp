@@ -153,7 +153,7 @@ kernel_record bench_one(const op_spec& op, const shape& s, util::thread_pool& po
     return rec;
 }
 
-// --- end-to-end fleet deltas (the bench_batch_throughput path) --------------
+// --- end-to-end fleet deltas (the runtime::batch_runner path) --------------
 
 std::vector<data::building> make_fleet(std::size_t count, std::size_t samples_per_floor,
                                        std::uint64_t seed) {

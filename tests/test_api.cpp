@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -838,16 +839,28 @@ TEST(api_e2e, loopback_framed_and_direct_service_are_byte_identical) {
 
     // Path 2: in-process loopback through the API server, cache on —
     // twice, so the second pass is served entirely from the cache.
+    using clock_type = std::chrono::steady_clock;
     api::server srv(fast_server_config(true));
     api::client loop_cold(srv);
+    const clock_type::time_point cold_start = clock_type::now();
     for (std::size_t i = 0; i < city.buildings.size(); ++i)
         static_cast<void>(loop_cold.identify(city.buildings[i], i));
     static_cast<void>(loop_cold.flush());
+    const clock_type::time_point warm_start = clock_type::now();
     api::client loop_warm(srv);
     for (std::size_t i = 0; i < city.buildings.size(); ++i)
         static_cast<void>(loop_warm.identify(city.buildings[i], i));
     static_cast<void>(loop_warm.flush());
+    const clock_type::time_point warm_end = clock_type::now();
     EXPECT_EQ(srv.cache_stats().hits, city.buildings.size());
+
+    // The cache's reason to exist: warm resubmission is at least 10x
+    // faster than the cold pass that filled it.
+    const std::chrono::duration<double> cold_s = warm_start - cold_start;
+    const std::chrono::duration<double> warm_s = warm_end - warm_start;
+    EXPECT_GE(cold_s.count(), 10.0 * warm_s.count())
+        << "warm resubmission took " << warm_s.count() << " s against a cold " << cold_s.count()
+        << " s (floor: 10x faster)";
 
     // Path 3: the framed-stream transport, cache off.
     std::stringstream wire_in, wire_out;
