@@ -48,6 +48,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -167,9 +168,12 @@ struct load_result {
 
 /// Offer `identify_resident` frames at \p rate requests/sec for
 /// \p seconds across \p connections fresh connections. Open-loop pacing:
-/// each sender walks an absolute schedule with `sleep_until`, so a slow
-/// server does not slow the offered rate — it sheds instead (which is the
-/// point).
+/// send s of the rung's round(seconds · rate) goes out at s / rate, so the
+/// sends spread evenly over the whole rung; connection c takes every
+/// connections-th send starting at s = c, which staggers the connections'
+/// schedules by 1 / rate. Each sender walks its absolute schedule with
+/// `sleep_until`, so a slow server does not slow the offered rate — it
+/// sheds instead (which is the point).
 load_result run_load(const std::string& host, std::uint16_t port,
                      const std::vector<std::string>& names, double rate, double seconds,
                      std::size_t connections) {
@@ -178,11 +182,11 @@ load_result run_load(const std::string& host, std::uint16_t port,
         std::string failure;
     };
     std::vector<conn_state> states(connections);
-    const auto per_conn_interval =
-        std::chrono::duration<double>(static_cast<double>(connections) / rate);
-    const auto sends_per_conn = static_cast<std::size_t>(
-        std::max(1.0, seconds * rate / static_cast<double>(connections)));
+    const auto total_sends = static_cast<std::size_t>(std::max(1.0, std::round(seconds * rate)));
+    const std::chrono::duration<double> send_interval(1.0 / rate);
 
+    // One schedule origin shared by every connection.
+    const clock_type::time_point t0 = clock_type::now();
     std::vector<std::thread> threads;
     threads.reserve(connections);
     for (std::size_t c = 0; c < connections; ++c) {
@@ -191,14 +195,14 @@ load_result run_load(const std::string& host, std::uint16_t port,
             try {
                 net::frame_conn conn(host, port);
                 std::thread writer([&] {
-                    const clock_type::time_point t0 = clock_type::now();
-                    for (std::size_t j = 0; j < sends_per_conn; ++j) {
+                    for (std::size_t send = c, j = 0; send < total_sends;
+                         send += connections, ++j) {
                         std::this_thread::sleep_until(
                             t0 + std::chrono::duration_cast<clock_type::duration>(
-                                     per_conn_interval * static_cast<double>(j)));
+                                     send_interval * static_cast<double>(send)));
                         api::identify_resident_request req;
                         req.correlation_id = j + 1;
-                        req.name = names[(c + j * connections) % names.size()];
+                        req.name = names[send % names.size()];
                         req.fresh = true;  // no cache: every request is real work
                         conn.send(api::encode(api::request(req)));
                         ++st.r.sent;
@@ -245,7 +249,7 @@ load_result run_load(const std::string& host, std::uint16_t port,
 // --- rung accounting ---------------------------------------------------------
 
 struct rung {
-    double offered_per_sec = 0.0;
+    double offered_per_sec = 0.0;  ///< sends / rung seconds
     std::size_t sent = 0;
     std::size_t client_results = 0;
     std::size_t client_shed = 0;
@@ -412,7 +416,6 @@ int main(int argc, char** argv) try {
         std::cerr << "Rung " << rungs.size() + 1 << ": offering " << rate << " req/s for "
                   << rung_seconds << "s...\n";
         rung r;
-        r.offered_per_sec = rate;
         const clock_type::time_point rung_start = clock_type::now();
         const load_result load = run_load(host, port, names, rate, rung_seconds, connections);
         // The schedule spans the rung length even when the last answer
@@ -421,6 +424,8 @@ int main(int argc, char** argv) try {
             rung_seconds,
             std::chrono::duration<double>(clock_type::now() - rung_start).count());
         r.sent = load.sent;
+        // What was actually offered: the rounded send count over the rung.
+        r.offered_per_sec = static_cast<double>(load.sent) / rung_seconds;
         r.client_results = load.results;
         r.client_shed = load.shed;
         // Collect the windows covering the rung: keep reading until two

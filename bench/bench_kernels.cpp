@@ -1,7 +1,8 @@
 /// \file bench_kernels.cpp
 /// Kernel-layer throughput harness with a machine-readable perf
 /// trajectory. For every shape it times the scalar reference kernels
-/// against the cache-blocked ones (GFLOP/s + speedup, serial and pooled),
+/// against the cache-blocked ones (GFLOP/s + speedup, serial and pooled,
+/// on the dispatched ISA tier and on every other tier this CPU supports),
 /// verifies the bit-identity contract (`memcmp`, not epsilon), and runs a
 /// small `batch_runner` fleet so the JSON also carries end-to-end
 /// buildings/sec deltas. Any bitwise divergence makes the process exit
@@ -53,14 +54,21 @@ struct op_spec {
     kernel_fn scalar;
     kernel_fn blocked;
     wrapper_fn wrapper;  // the public pooled entry point
+    kernel_fn linalg::kernels::product_kernels::*tier;  // this op in a tier's table
 };
 
 constexpr op_spec kOps[] = {
-    {"matmul", linalg::kernels::matmul_scalar, linalg::kernels::matmul_blocked, linalg::matmul},
+    {"matmul", linalg::kernels::matmul_scalar, linalg::kernels::matmul_blocked, linalg::matmul,
+     &linalg::kernels::product_kernels::matmul},
     {"matmul_nt", linalg::kernels::matmul_nt_scalar, linalg::kernels::matmul_nt_blocked,
-     linalg::matmul_nt},
+     linalg::matmul_nt, &linalg::kernels::product_kernels::matmul_nt},
     {"matmul_tn", linalg::kernels::matmul_tn_scalar, linalg::kernels::matmul_tn_blocked,
-     linalg::matmul_tn},
+     linalg::matmul_tn, &linalg::kernels::product_kernels::matmul_tn},
+};
+
+struct tier_record {
+    linalg::kernels::isa tier{};
+    double gflops = 0.0;
 };
 
 struct shape {
@@ -77,6 +85,7 @@ struct kernel_record {
     std::size_t pool_threads = 1;
     double pooled_gflops = 0.0;
     double pooled_speedup = 0.0;
+    std::vector<tier_record> tiers;  ///< blocked GFLOP/s per supported ISA tier
     bool bit_identical = false;
 };
 
@@ -150,6 +159,17 @@ kernel_record bench_one(const op_spec& op, const shape& s, util::thread_pool& po
     rec.pooled_gflops = rec.flops / t_pooled / 1e9;
     rec.pooled_speedup = t_scalar / t_pooled;
     rec.bit_identical = rec.bit_identical && bits_equal(c_scalar, c_pooled);
+
+    // Every tier the CPU runs, called directly: same bits, its own speed.
+    for (const linalg::kernels::isa t : linalg::kernels::kAllIsas) {
+        if (!linalg::kernels::isa_supported(t)) continue;
+        const kernel_fn fn = linalg::kernels::products(t).*op.tier;
+        matrix c_tier = matrix::uninit(s.m, s.n);
+        const double t_tier = time_best(
+            [&] { fn(a.data(), b.data(), c_tier.data(), s.m, s.k, s.n, 0, s.m); }, reps);
+        rec.tiers.push_back({t, rec.flops / t_tier / 1e9});
+        rec.bit_identical = rec.bit_identical && bits_equal(c_scalar, c_tier);
+    }
     return rec;
 }
 
@@ -220,9 +240,11 @@ pipeline_record bench_pipeline(std::size_t buildings, std::size_t samples, std::
 void write_json(std::ostream& out, bool quick, const std::vector<kernel_record>& kernels,
                 const pipeline_record& pipe) {
     out << "{\n";
-    out << "  \"schema\": \"fisone-bench-kernels/v1\",\n";
+    out << "  \"schema\": \"fisone-bench-kernels/v2\",\n";
     out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     out << "  \"hardware_threads\": " << util::resolve_num_threads(0) << ",\n";
+    out << "  \"isa\": \"" << linalg::kernels::isa_name(linalg::kernels::dispatched_isa())
+        << "\",\n";
     out << "  \"kernels\": [\n";
     for (std::size_t i = 0; i < kernels.size(); ++i) {
         const kernel_record& r = kernels[i];
@@ -234,7 +256,11 @@ void write_json(std::ostream& out, bool quick, const std::vector<kernel_record>&
             << ", \"pool_threads\": " << r.pool_threads
             << ", \"pooled_gflops\": " << bench::json_num(r.pooled_gflops)
             << ", \"pooled_speedup\": " << bench::json_num(r.pooled_speedup)
-            << ", \"bit_identical\": " << (r.bit_identical ? "true" : "false") << "}"
+            << ", \"tier_gflops\": {";
+        for (std::size_t t = 0; t < r.tiers.size(); ++t)
+            out << (t > 0 ? ", " : "") << "\"" << linalg::kernels::isa_name(r.tiers[t].tier)
+                << "\": " << bench::json_num(r.tiers[t].gflops);
+        out << "}, \"bit_identical\": " << (r.bit_identical ? "true" : "false") << "}"
             << (i + 1 < kernels.size() ? "," : "") << "\n";
     }
     out << "  ],\n";
@@ -258,12 +284,16 @@ int main(int argc, char** argv) try {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1234));
     const int reps = static_cast<int>(args.get_int("reps", quick ? 3 : 5));
 
-    std::vector<shape> shapes{{64, 64, 64}, {256, 256, 256}, {203, 97, 151}};
+    // {1024, 32, 16}: the served profile's RF-GNN layer (d = 16, a 2d-wide
+    // [self | agg] input) on a 1024-row batch.
+    std::vector<shape> shapes{{64, 64, 64}, {256, 256, 256}, {203, 97, 151}, {1024, 32, 16}};
     if (!quick) {
         shapes.push_back({128, 128, 128});
         shapes.push_back({384, 384, 384});
         shapes.push_back({512, 64, 32});   // tape dense-layer shape
         shapes.push_back({1024, 32, 64});  // propagation shape
+        shapes.push_back({1024, 16, 32});  // served input gradient (nt: dZ · Wᵀ)
+        shapes.push_back({32, 1024, 16});  // served weight gradient (tn: Xᵀ · dZ)
     }
 
     util::rng gen(seed);
@@ -284,8 +314,10 @@ int main(int argc, char** argv) try {
                                        : bench_pipeline(8, 40, seed);
     all_identical = all_identical && pipe.bit_identical;
 
-    util::table_printer table("Kernel throughput — scalar vs cache-blocked (best of " +
-                              std::to_string(reps) + ")");
+    util::table_printer table("Kernel throughput — scalar vs cache-blocked on " +
+                              std::string(linalg::kernels::isa_name(
+                                  linalg::kernels::dispatched_isa())) +
+                              " (best of " + std::to_string(reps) + ")");
     table.header({"op", "shape", "scalar GF/s", "blocked GF/s", "speedup", "pooled GF/s",
                   "bit-identical"});
     for (const kernel_record& r : records)

@@ -10,20 +10,43 @@
 /// ## The bit-identity contract
 ///
 /// Every blocked kernel produces output that is **bit-identical** to its
-/// scalar reference for finite inputs, at any thread count. The rule
-/// that makes this possible: for every output cell, the sequence of
-/// floating-point additions is exactly `c = 0; c += a·b` over the depth
-/// index in ascending order — the same sequence the scalar i-k-j loop
-/// performs. Blocking merely changes *where* the running value lives:
-///  - the j-loop is register-tiled (kKernelCols-wide accumulator rows),
-///    which is pure loop unrolling — each cell keeps its own accumulator;
+/// scalar reference for finite inputs, at any thread count and on every
+/// ISA tier. The rule that makes this possible: for every output cell, the
+/// sequence of floating-point additions is exactly `c = 0; c += a·b` over
+/// the depth index in ascending order — the same sequence the scalar
+/// i-k-j loop performs, each product rounded before it is added. Blocking
+/// merely changes *where* the running value lives:
+///  - the j-loop is register-tiled (vector accumulator rows), which is
+///    pure loop unrolling — each cell keeps its own accumulator and a
+///    vector lane is one cell;
 ///  - the k-loop is split into kBlockK-sized blocks processed in
 ///    ascending order; between blocks the accumulators round-trip
 ///    through the output buffer, which does not change the value
 ///    (storing and reloading a double is exact);
+///  - operands may be repacked into contiguous micro-panels (the tn A
+///    panel, the nt Bᵀ panel); copying never changes a value;
 ///  - threads split by *output rows*, and no cell is ever touched by two
 ///    threads.
 /// Hence blocked, scalar, serial and pooled runs all agree to the bit.
+///
+/// ## ISA tiers
+///
+/// The blocked products come in tiers of one vector width each, all
+/// compiled from the same tile template:
+///  - `baseline`: 2-lane (SSE2) tiles of 4 rows × 4 columns;
+///  - `avx2`: 4-lane tiles of 4 rows × 8 columns;
+///  - `avx512`: 8-lane tiles of 4 rows × 16 columns.
+/// Ragged columns narrow down the same ladder to a scalar column, so no
+/// tier has a separate edge kernel. The wide tiers are per-function
+/// `target(...)` code on x86-64; `dispatched_isa()` picks the widest one
+/// this CPU supports once per process, with no option to override it.
+/// Because a tier only changes how many independent cells move together,
+/// every tier is bit-identical to the others.
+///
+/// **No fused multiply-add.** An FMA rounds `acc + a·b` once instead of
+/// twice, which breaks the contract. kernels.cpp must therefore be built
+/// with `-ffp-contract=off` (CMakeLists.txt sets it on that file alone);
+/// without it, GCC contracts the AVX-512 tile into `vfmadd` instructions.
 
 #include <cstddef>
 #include <new>
@@ -36,19 +59,17 @@ namespace fisone::linalg::kernels {
 /// power-of-two widths land on line boundaries.
 inline constexpr std::size_t kAlignment = 64;
 
-/// Register tile geometry of the blocked axpy-style products:
-/// kKernelRows output rows × kKernelCols output columns accumulate in
-/// registers per k-block. 4×4 doubles = 16 accumulators = 8 SSE2
-/// registers, spill-free on baseline x86-64. The tall tile matters:
-/// every loaded B vector feeds 4 output rows, so a full B sweep happens
-/// once per 4 rows of C — half the B-panel traffic of a 2-row tile,
-/// which is what large (≥256³) products are bound by.
+/// Output rows per register tile, on every tier. Each loaded B vector
+/// feeds this many output rows, so a full B sweep happens once per 4 rows
+/// of C. A row-partitioned caller should split on multiples of it, so that
+/// only the last chunk ends in a ragged (narrower) tile.
 inline constexpr std::size_t kKernelRows = 4;
-inline constexpr std::size_t kKernelCols = 4;
 
-/// Depth (k) block: 256 iterations × a 64-byte B row per iteration keeps
-/// the streamed B panel ≈16 KiB — comfortably L1-resident — while the
-/// accumulators stay in registers for the whole block.
+/// Depth (k) block: 256 iterations × one B tile row (32 to 128 bytes,
+/// by tier) per iteration keeps the streamed B panel within 8 to 32 KiB,
+/// L1-resident, while the accumulators stay in registers for the whole
+/// block. It also bounds the stack micro-panels the tn and nt products
+/// pack their strided operand into.
 inline constexpr std::size_t kBlockK = 256;
 
 /// STL allocator returning kAlignment-aligned storage whose *default*
@@ -103,7 +124,8 @@ public:
 void matmul_scalar(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
                    std::size_t n, std::size_t r0, std::size_t r1) noexcept;
 
-/// C(m×n) = A(m×k) · B(k×n) — cache-blocked, register-tiled.
+/// C(m×n) = A(m×k) · B(k×n) — cache-blocked, register-tiled, on the
+/// dispatched ISA tier.
 void matmul_blocked(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
                     std::size_t n, std::size_t r0, std::size_t r1) noexcept;
 
@@ -111,7 +133,8 @@ void matmul_blocked(const double* a, const double* b, double* c, std::size_t m, 
 void matmul_nt_scalar(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
                       std::size_t n, std::size_t r0, std::size_t r1) noexcept;
 
-/// C(m×n) = A(m×k) · B(n×k)ᵀ — register-tiled dot kernel.
+/// C(m×n) = A(m×k) · B(n×k)ᵀ — the axpy tiles over Bᵀ packed per
+/// k-block micro-panel, on the dispatched ISA tier.
 void matmul_nt_blocked(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
                        std::size_t n, std::size_t r0, std::size_t r1) noexcept;
 
@@ -119,9 +142,38 @@ void matmul_nt_blocked(const double* a, const double* b, double* c, std::size_t 
 void matmul_tn_scalar(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
                       std::size_t n, std::size_t r0, std::size_t r1) noexcept;
 
-/// C(m×n) = A(k×m)ᵀ · B(k×n) — cache-blocked, register-tiled.
+/// C(m×n) = A(k×m)ᵀ · B(k×n) — cache-blocked, register-tiled, on the
+/// dispatched ISA tier.
 void matmul_tn_blocked(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
                        std::size_t n, std::size_t r0, std::size_t r1) noexcept;
+
+/// ISA tiers of the blocked products, narrowest first.
+enum class isa : unsigned char { baseline, avx2, avx512 };
+inline constexpr isa kAllIsas[] = {isa::baseline, isa::avx2, isa::avx512};
+
+/// "sse2" (or "generic" off x86-64), "avx2", "avx512".
+[[nodiscard]] const char* isa_name(isa tier) noexcept;
+
+/// True when this build and this CPU can run \p tier.
+[[nodiscard]] bool isa_supported(isa tier) noexcept;
+
+/// The widest supported tier, chosen once per process; the `*_blocked`
+/// entry points above run on it.
+[[nodiscard]] isa dispatched_isa() noexcept;
+
+using product_fn = void (*)(const double* a, const double* b, double* c, std::size_t m,
+                            std::size_t k, std::size_t n, std::size_t r0, std::size_t r1) noexcept;
+
+/// One tier's blocked products, with the `*_blocked` signatures.
+struct product_kernels {
+    product_fn matmul;
+    product_fn matmul_nt;
+    product_fn matmul_tn;
+};
+
+/// The blocked products of \p tier, for tests and benches that check or
+/// time each tier directly. Precondition: `isa_supported(tier)`.
+[[nodiscard]] const product_kernels& products(isa tier) noexcept;
 
 // ---------------------------------------------------------------------------
 // Fused vector primitives. Plain contiguous loops with restrict-style

@@ -16,8 +16,17 @@ void check_same_length(std::span<const double> a, std::span<const double> b, con
     if (a.size() != b.size()) throw std::invalid_argument(std::string(what) + ": length mismatch");
 }
 
-constexpr std::size_t row_grain(std::size_t rows) noexcept {
-    return parallel_policy::row_grain(rows);
+/// Run a row-partitioned product over rows [0, m): one kernel call over
+/// every row when the policy leaves no pool (a product too small to pay
+/// for dispatch, or no pool at all), else tile-aligned chunks on the pool.
+template <class Kernel>
+void for_rows(util::thread_pool* pool, std::size_t m, std::size_t flops, const Kernel& kernel) {
+    pool = parallel_policy::effective(pool, flops);
+    if (pool == nullptr) {
+        kernel(0, m);
+        return;
+    }
+    util::parallel_for(pool, 0, m, parallel_policy::matmul_row_grain(m), kernel);
 }
 }  // namespace
 
@@ -42,8 +51,7 @@ void matmul_into(matrix& out, const matrix& a, const matrix& b, util::thread_poo
     if (a.cols() != b.rows()) throw std::invalid_argument("matmul: inner dimension mismatch");
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     out.resize_uninit(m, n);
-    pool = parallel_policy::effective(pool, m * k * n);
-    util::parallel_for(pool, 0, m, row_grain(m), [&](std::size_t r0, std::size_t r1) {
+    for_rows(pool, m, m * k * n, [&](std::size_t r0, std::size_t r1) {
         kernels::matmul_blocked(a.data(), b.data(), out.data(), m, k, n, r0, r1);
     });
 }
@@ -52,8 +60,7 @@ void matmul_nt_into(matrix& out, const matrix& a, const matrix& b, util::thread_
     if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt: dimension mismatch");
     const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
     out.resize_uninit(m, n);
-    pool = parallel_policy::effective(pool, m * k * n);
-    util::parallel_for(pool, 0, m, row_grain(m), [&](std::size_t r0, std::size_t r1) {
+    for_rows(pool, m, m * k * n, [&](std::size_t r0, std::size_t r1) {
         kernels::matmul_nt_blocked(a.data(), b.data(), out.data(), m, k, n, r0, r1);
     });
 }
@@ -62,8 +69,7 @@ void matmul_tn_into(matrix& out, const matrix& a, const matrix& b, util::thread_
     if (a.rows() != b.rows()) throw std::invalid_argument("matmul_tn: dimension mismatch");
     const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
     out.resize_uninit(m, n);
-    pool = parallel_policy::effective(pool, m * k * n);
-    util::parallel_for(pool, 0, m, row_grain(m), [&](std::size_t r0, std::size_t r1) {
+    for_rows(pool, m, m * k * n, [&](std::size_t r0, std::size_t r1) {
         kernels::matmul_tn_blocked(a.data(), b.data(), out.data(), m, k, n, r0, r1);
     });
 }

@@ -12,6 +12,8 @@
 
 #include <cstddef>
 
+#include "linalg/kernels.hpp"
+
 namespace fisone::util {
 class thread_pool;
 }
@@ -38,6 +40,14 @@ struct parallel_policy {
     [[nodiscard]] static constexpr std::size_t row_grain(std::size_t rows) noexcept {
         const std::size_t g = rows / 32;
         return g == 0 ? 1 : g;
+    }
+
+    /// Rows per chunk for the dense products: `row_grain` rounded up to a
+    /// whole number of register tiles, so no chunk but the last ends in a
+    /// ragged (narrower) tile.
+    [[nodiscard]] static constexpr std::size_t matmul_row_grain(std::size_t rows) noexcept {
+        constexpr std::size_t t = kernels::kKernelRows;
+        return (row_grain(rows) + t - 1) / t * t;
     }
 
     /// Elements per chunk for flat O(n) sweeps (e.g. the UPGMA

@@ -1,12 +1,14 @@
 // Tests for the linalg kernel layer: cache-blocked products checked
-// bit-identical against a naive reference at 1 and 4 threads (including
-// odd, non-tile-multiple, 1×N, N×1 and empty shapes), the workspace
+// bit-identical against a naive reference at 1 and 4 threads and on every
+// ISA tier the CPU supports (including odd, non-tile-multiple, 1×N, N×1,
+// empty and the served RF-GNN shapes), the workspace
 // arena, the uninit-alloc matrix path, the parallel policy, and
 // allocation-reuse behaviour of the autodiff tape.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "autodiff/tape.hpp"
@@ -79,8 +81,12 @@ struct mkn {
 const std::vector<mkn> kShapes{
     {0, 0, 0},   {1, 1, 1},    {1, 7, 1},     {5, 1, 9},    {1, 64, 1},
     {64, 1, 64}, {3, 5, 7},    {17, 33, 9},   {8, 8, 8},    {65, 129, 31},
-    {4, 300, 4}, {31, 17, 63}, {160, 90, 110}  // big enough to engage the pool
-};
+    {4, 300, 4}, {31, 17, 63}, {160, 90, 110},  // big enough to engage the pool
+    // The served RF-GNN products (d = 16): forward, input gradient,
+    // weight gradient.
+    {517, 32, 16}, {517, 16, 32}, {32, 517, 16},
+    // Widths at and between the tiers' tile widths, across a k-block edge.
+    {13, 270, 8}, {21, 5, 16}, {6, 33, 24}, {37, 300, 33}};
 
 TEST(kernels, matmul_bit_identical_to_naive) {
     util::rng gen(101);
@@ -122,6 +128,78 @@ TEST(kernels, matmul_tn_bit_identical_to_naive) {
         EXPECT_TRUE(bits_equal(ref, linalg::matmul_tn(a, b, &pool)))
             << s.m << "x" << s.k << "x" << s.n << " pooled";
     }
+}
+
+// Every ISA tier this CPU runs, called directly (the dispatched entry
+// points above only reach the widest one).
+std::vector<linalg::kernels::isa> supported_isas() {
+    std::vector<linalg::kernels::isa> out;
+    for (const linalg::kernels::isa t : linalg::kernels::kAllIsas)
+        if (linalg::kernels::isa_supported(t)) out.push_back(t);
+    return out;
+}
+
+TEST(kernels, every_supported_isa_bit_identical_to_naive) {
+    using linalg::kernels::isa_name;
+    ASSERT_TRUE(linalg::kernels::isa_supported(linalg::kernels::isa::baseline));
+    util::rng gen(111);
+    for (const linalg::kernels::isa t : supported_isas()) {
+        const linalg::kernels::product_kernels& p = linalg::kernels::products(t);
+        for (const auto& s : kShapes) {
+            const std::string what = std::string(isa_name(t)) + " " + std::to_string(s.m) + "x" +
+                                     std::to_string(s.k) + "x" + std::to_string(s.n);
+            matrix c = matrix::uninit(s.m, s.n);
+            const matrix a = random_matrix(s.m, s.k, gen);
+            const matrix b = random_matrix(s.k, s.n, gen);
+            p.matmul(a.data(), b.data(), c.data(), s.m, s.k, s.n, 0, s.m);
+            EXPECT_TRUE(bits_equal(naive_matmul(a, b), c)) << what << " nn";
+
+            const matrix bt = random_matrix(s.n, s.k, gen);
+            p.matmul_nt(a.data(), bt.data(), c.data(), s.m, s.k, s.n, 0, s.m);
+            EXPECT_TRUE(bits_equal(naive_matmul_nt(a, bt), c)) << what << " nt";
+
+            const matrix at = random_matrix(s.k, s.m, gen);
+            p.matmul_tn(at.data(), b.data(), c.data(), s.m, s.k, s.n, 0, s.m);
+            EXPECT_TRUE(bits_equal(naive_matmul_tn(at, b), c)) << what << " tn";
+        }
+    }
+}
+
+TEST(kernels, every_supported_isa_row_ranges_compose) {
+    // A pooled split hands each tier arbitrary row ranges, including ones
+    // that start mid-tile; their union must equal the naive product.
+    util::rng gen(112);
+    const std::size_t m = 37, k = 261, n = 33;
+    const matrix a = random_matrix(m, k, gen);
+    const matrix b = random_matrix(k, n, gen);
+    const matrix bt = random_matrix(n, k, gen);
+    const matrix at = random_matrix(k, m, gen);
+    for (const linalg::kernels::isa t : supported_isas()) {
+        const linalg::kernels::product_kernels& p = linalg::kernels::products(t);
+        for (const std::size_t split : {std::size_t{1}, std::size_t{13}, std::size_t{36}}) {
+            matrix c = matrix::uninit(m, n);
+            p.matmul(a.data(), b.data(), c.data(), m, k, n, 0, split);
+            p.matmul(a.data(), b.data(), c.data(), m, k, n, split, m);
+            EXPECT_TRUE(bits_equal(naive_matmul(a, b), c))
+                << linalg::kernels::isa_name(t) << " nn split " << split;
+            p.matmul_nt(a.data(), bt.data(), c.data(), m, k, n, 0, split);
+            p.matmul_nt(a.data(), bt.data(), c.data(), m, k, n, split, m);
+            EXPECT_TRUE(bits_equal(naive_matmul_nt(a, bt), c))
+                << linalg::kernels::isa_name(t) << " nt split " << split;
+            p.matmul_tn(at.data(), b.data(), c.data(), m, k, n, 0, split);
+            p.matmul_tn(at.data(), b.data(), c.data(), m, k, n, split, m);
+            EXPECT_TRUE(bits_equal(naive_matmul_tn(at, b), c))
+                << linalg::kernels::isa_name(t) << " tn split " << split;
+        }
+    }
+}
+
+TEST(kernels, dispatched_isa_is_the_widest_supported) {
+    using linalg::kernels::isa;
+    const isa d = linalg::kernels::dispatched_isa();
+    EXPECT_TRUE(linalg::kernels::isa_supported(d));
+    for (const isa t : supported_isas())
+        EXPECT_LE(static_cast<int>(t), static_cast<int>(d)) << linalg::kernels::isa_name(t);
 }
 
 TEST(kernels, blocked_row_ranges_compose) {
@@ -294,6 +372,16 @@ TEST(parallel_policy, thresholds) {
     EXPECT_GE(parallel_policy::row_grain(0), 1u);
     EXPECT_GE(parallel_policy::row_grain(1000), 31u);
     EXPECT_GE(parallel_policy::span_grain(100), parallel_policy::min_span);
+}
+
+TEST(parallel_policy, matmul_grain_is_whole_register_tiles) {
+    using linalg::parallel_policy;
+    for (const std::size_t rows : {std::size_t{0}, std::size_t{1}, std::size_t{32},
+                                   std::size_t{517}, std::size_t{1000}, std::size_t{4099}}) {
+        const std::size_t g = parallel_policy::matmul_row_grain(rows);
+        EXPECT_EQ(g % linalg::kernels::kKernelRows, 0u) << rows;
+        EXPECT_GE(g, parallel_policy::row_grain(rows)) << rows;
+    }
 }
 
 // ---------- tape reuse ----------
