@@ -35,7 +35,7 @@
 ///                              [--buildings N] [--samples-per-floor M]
 ///                              [--reps R] [--max-overhead PCT] [--seed S]
 ///
-///  --quick   CI-sized corpus and rep count (well under a minute)
+///  --quick   CI-sized corpus and rep count (about a minute)
 ///  --json    write the JSON report (schema `fisone-bench-trace/v3`) to --out
 ///
 /// The JSON schema is documented in README.md § Observability.

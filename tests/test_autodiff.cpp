@@ -399,6 +399,35 @@ TEST(optimizer, gradient_clipping) {
     EXPECT_DOUBLE_EQ(g2(0, 0), 0.3);
 }
 
+TEST(optimizer, clipped_steps_match_steps_on_a_clipped_copy) {
+    // The optimisers apply the clip scale inline; the result must equal,
+    // to the bit, an unclipped step on a gradient clipped beforehand.
+    const matrix grad{{3.0, -4.0, 0.5}};
+    for (const double clip : {0.7, 100.0}) {
+        matrix pre = grad;
+        clip_gradient(pre, clip);
+
+        matrix xa(1, 3, 0.25), xb(1, 3, 0.25);
+        adam clipped(adam::config{0.05, 0.9, 0.999, 1e-8, clip});
+        adam plain(adam::config{0.05});
+        matrix xs(1, 3, 0.25), xt(1, 3, 0.25);
+        sgd clipped_sgd(0.1, 0.5, clip);
+        sgd plain_sgd(0.1, 0.5);
+        for (int i = 0; i < 3; ++i) {
+            clipped.step(xa, grad);
+            clipped.end_step();
+            plain.step(xb, pre);
+            plain.end_step();
+            clipped_sgd.step(xs, grad);
+            plain_sgd.step(xt, pre);
+        }
+        for (std::size_t j = 0; j < 3; ++j) {
+            EXPECT_EQ(xa(0, j), xb(0, j)) << "adam clip " << clip;
+            EXPECT_EQ(xs(0, j), xt(0, j)) << "sgd clip " << clip;
+        }
+    }
+}
+
 TEST(optimizer, rejects_bad_config) {
     EXPECT_THROW(sgd(-0.1), std::invalid_argument);
     EXPECT_THROW(sgd(0.1, 1.5), std::invalid_argument);
