@@ -150,7 +150,7 @@ FISONE_INLINE void rows_panel(std::size_t mr, const double* a, std::size_t ras, 
 }
 
 // ---------------------------------------------------------------------------
-// The two drivers every product reduces to, both over output rows
+// The two loop nests every product reduces to, both over output rows
 // [r0, r1) and kBlockK-deep k-blocks taken in ascending order.
 // ---------------------------------------------------------------------------
 
@@ -224,7 +224,7 @@ FISONE_INLINE void gemm_nt(const double* a, const double* b, double* c, std::siz
 }
 
 // ---------------------------------------------------------------------------
-// Per-tier entry points. Each one instantiates the drivers for its vector
+// Per-tier entry points. Each one instantiates the loop nests for its vector
 // width; on x86-64 the wide tiers carry their ISA as a function target, so
 // the rest of the library stays baseline x86-64 and the wide code only runs
 // after the CPU check in dispatched_isa().
